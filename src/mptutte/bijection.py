@@ -7,6 +7,9 @@ quotient:
 
     backward(X) = X \\ min_basis((M|X)*) ∪ min_basis(M'/X)
 
+Both minimal bases are found greedily with rank lookups in M and M'; no
+minor is built.
+
 bijection_table lays out one row per valid B, ordered by size then
 lexicographically, with the monomial exponents
 (|Int|, |Ext|, rank defect) that drive the trivariate polynomial.
@@ -14,10 +17,11 @@ lexicographically, with the monomial exponents
 
 from dataclasses import dataclass
 
-from .activities import externally_active, internally_active
-from .compatible import is_compatible
+from .activities import activities
+from .compatible import in_family
 from .errors import DomainError
 from .perspective import Perspective
+from .setcore import bit
 
 
 @dataclass(frozen=True)
@@ -37,27 +41,39 @@ def forward(p: Perspective, b: int, check: bool = True) -> int:
         raise DomainError(
             f"{p.ground.fmt(b)} is not independent-in-matroid and spanning-in-quotient"
         )
-    return (b & ~internally_active(p.quotient, b)) | externally_active(p.matroid, b)
+    internal, external = activities(p.quotient, p.matroid, b)
+    return (b & ~internal) | external
 
 
 def backward(p: Perspective, x: int, check: bool = True) -> int:
-    """B = X \\ min_basis((M|X)*) ∪ min_basis(M'/X)."""
-    if check and not (
-        is_compatible(p.quotient.dual(), x)
-        and is_compatible(p.matroid, p.ground.mask ^ x)
-    ):
+    """B = X \\ min_basis((M|X)*) ∪ min_basis(M'/X).
+
+    Scanning E in `<` order, e in X joins the dual basis while X minus the
+    dual basis still spans X in M, and e outside X joins the basis of M'/X
+    while it raises the M'-rank of X plus what was kept.
+    """
+    p.ground.check_subset(x)
+    if check and not in_family(p, x):
         raise DomainError(f"{p.ground.fmt(x)} is not in the compatible family")
-    drop = p.matroid.restrict(x).dual().min_basis()
-    add = p.quotient.contract(x).min_basis()
-    return (x & ~drop) | add
+    rm, rq = p.matroid.ranks, p.quotient.ranks
+    target = rm[x]
+    rest = x
+    span = x
+    for e in p.ground.order:
+        b = bit(e)
+        if b & x:
+            if rm[rest ^ b] == target:
+                rest ^= b
+        elif rq[span | b] > rq[span]:
+            span |= b
+    return rest | (span ^ x)
 
 
 def bijection_table(p: Perspective) -> list:
     """Rows for every valid B, sorted by (size, lex)."""
     rows = []
     for b in p.independent_spanning_sets():
-        internal = internally_active(p.quotient, b)
-        external = externally_active(p.matroid, b)
+        internal, external = activities(p.quotient, p.matroid, b)
         x = (b & ~internal) | external
         assert internal & ~b == 0 and external & b == 0
         rows.append(

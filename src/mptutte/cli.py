@@ -462,7 +462,7 @@ def main(argv=None) -> int:
             print(report)
             if not ok:
                 return 3
-    except (ParseError, AxiomError, DomainError, OSError) as e:
+    except (ParseError, AxiomError, DomainError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PerspectiveError as e:

@@ -1,27 +1,38 @@
-"""Matroids given by an explicit basis family.
+"""Matroids given by an explicit basis family, queried through a rank table.
 
 The basis family is the canonical representation (sorted tuple of bitmasks);
 circuits, the dual, and minors are derived from it.  Construction validates
 the basis-exchange axiom exhaustively, which is O(|bases|^2 * n) and entirely
-fine at the desk scale this package targets (n <= 30, realistically far
-smaller).  Internal constructions whose correctness is a theorem (duals,
-minors) skip validation via the ``validate`` flag.
+fine at the desk scale this package targets.  Internal constructions whose
+correctness is a theorem (duals, minors) skip validation via the ``validate``
+flag.
+
+Every rank question (rank, independence, spanning, greedy bases) is one
+lookup in ``Matroid.ranks``: a ``bytes`` table holding r(X) at index X, built
+from the bases on first use in O(2^n) time and 5 * 2^n bytes of peak memory,
+where n is the bit length of the ground mask.  Construction never builds it.
+Tables above ``MAX_TABLE_ELEMENTS`` positions are refused with a DomainError
+instead of exhausting memory.
 
 Loops and coloops are ordinary citizens: a rank-0 matroid is
 ``Matroid.from_bases(ground, [0])``, and from_circuits accepts singleton
 circuits.
 """
 
+from array import array
 from itertools import combinations
 
 from .errors import AxiomError, DomainError
 from .setcore import GroundSet, bit
 
+MAX_TABLE_ELEMENTS = 24
+
 
 class Matroid:
-    """A matroid on a :class:`GroundSet`, stored by its bases."""
+    """A matroid on a :class:`GroundSet`, stored by its bases and queried
+    through its rank table."""
 
-    __slots__ = ("ground", "bases", "_bases_set", "_circuits", "_dual")
+    __slots__ = ("ground", "bases", "_bases_set", "_circuits", "_dual", "_ranks")
 
     def __init__(self, ground: GroundSet, bases, validate: bool = True):
         seen = set()
@@ -35,6 +46,7 @@ class Matroid:
         self._bases_set = frozenset(seen)
         self._circuits = None
         self._dual = None
+        self._ranks = None
         if validate:
             self._check_exchange()
 
@@ -75,12 +87,19 @@ class Matroid:
     def size(self) -> int:
         return self.ground.size
 
+    @property
+    def ranks(self) -> bytes:
+        """r(X) at index X for every subset X; built on first use, then cached."""
+        if self._ranks is None:
+            self._ranks = _rank_table(self.ground.mask.bit_length(), self.bases)
+        return self._ranks
+
     def rank(self, x: int | None = None) -> int:
         """Rank of a subset (of the whole ground set when omitted)."""
         if x is None:
-            return self.bases[0].bit_count() if self.bases else 0
+            return self.bases[0].bit_count()
         self.ground.check_subset(x)
-        return max((b & x).bit_count() for b in self.bases)
+        return self.ranks[x]
 
     def corank(self, x: int | None = None) -> int:
         """Rank in the dual: |X| - r(M) + r(E \\ X)."""
@@ -89,13 +108,9 @@ class Matroid:
         self.ground.check_subset(x)
         return x.bit_count() - self.rank() + self.rank(self.ground.mask ^ x)
 
-    def is_basis(self, x: int) -> bool:
-        return x in self._bases_set
-
     def is_independent(self, x: int) -> bool:
-        """True iff some basis contains X."""
-        self.ground.check_subset(x)
-        return any(x & ~b == 0 for b in self.bases)
+        """True iff some basis contains X, i.e. r(X) = |X|."""
+        return self.rank(x) == x.bit_count()
 
     def is_spanning(self, x: int) -> bool:
         """True iff X has full rank."""
@@ -170,18 +185,15 @@ class Matroid:
         independence is the classic matroid greedy; tests check it against
         the brute-force lexicographic minimum.
         """
-        kept = 0
-        for e in self.ground.order:
-            cand = kept | bit(e)
-            if self.is_independent(cand):
-                kept = cand
-        return kept
+        return self._max_independent_within(self.ground.mask)
 
     def _max_independent_within(self, x: int) -> int:
+        """The greedy (lexicographically least) basis of X."""
+        ranks = self.ranks
         kept = 0
         for e in self.ground.order:
             b = bit(e)
-            if b & x and self.is_independent(kept | b):
+            if b & x and ranks[kept | b] > ranks[kept]:
                 kept |= b
         return kept
 
@@ -231,6 +243,50 @@ class Matroid:
                             "basis exchange fails: no replacement for element "
                             f"{e.bit_length()} of {fmt(b1)} against {fmt(b2)}"
                         )
+
+
+def _rank_table(n: int, bases) -> bytes:
+    """Ranks of all 2^n masks, from the bases.
+
+    First the independent sets: a 2^n-bit int with bit S set for each basis
+    S is closed downwards by one shift/OR pass per element (the subset zeta
+    transform of Bjorklund-Husfeldt-Kaski-Koivisto, FOCS 2008).  Then one
+    greedy pass in increasing mask order: with h the highest element of S, a
+    basis J(S) of S is J(S - h) + h when that set is independent and J(S - h)
+    otherwise, and r(S) = |J(S)|.  Elements absent from the ground set lie in
+    no basis, so their masks simply repeat the ranks of the ground part.
+    """
+    size = 1 << n
+    if n > MAX_TABLE_ELEMENTS:
+        raise DomainError(
+            f"rank table over {n} elements needs 2^{n} = {size} entries "
+            f"({5 * size >> 20} MiB while it is built); the limit is {MAX_TABLE_ELEMENTS} elements"
+        )
+    nbytes = max(size >> 3, 1)
+    flags = bytearray(nbytes)
+    for b in bases:
+        flags[b >> 3] |= 1 << (b & 7)
+    indep = int.from_bytes(flags, "little")
+    for i in range(n):
+        # bit S of `without` is set when element i is not in S
+        run = 1 << i >> 3
+        pattern = b"\xff" * run + bytes(run) if run else bytes([(0x55, 0x33, 0x0F)[i]])
+        without = int.from_bytes(pattern * (nbytes // len(pattern)), "little")
+        indep |= (indep >> (1 << i)) & without
+    flags = indep.to_bytes(nbytes, "little")
+
+    ranks = bytearray(size)
+    greedy = array("I", [0]) * size
+    for i in range(n):
+        h = 1 << i
+        ranks[h:h << 1] = ranks[:h]
+        greedy[h:h << 1] = greedy[:h]
+        for s in range(h):
+            j = greedy[s] | h
+            if flags[j >> 3] >> (j & 7) & 1:
+                greedy[h | s] = j
+                ranks[h | s] += 1
+    return bytes(ranks)
 
 
 def _check_circuit_axioms(ground: GroundSet, circs):

@@ -10,25 +10,13 @@ from .errors import DomainError, PerspectiveError
 from .matroid import Matroid
 
 
-def _violating_circuit(matroid: Matroid, quotient: Matroid):
-    """First M-circuit that is not the union of the M'-circuits inside it."""
-    for c in matroid.circuits:
-        covered = 0
-        for cq in quotient.circuits:
-            if cq & ~c == 0:
-                covered |= cq
-        if covered != c:
-            return c
-    return None
-
-
 def validate_perspective(matroid: Matroid, quotient: Matroid) -> bool:
     """True iff every circuit of `matroid` is a union of `quotient`-circuits."""
-    if matroid.ground != quotient.ground:
-        raise DomainError(
-            f"perspective needs one ground set; got {matroid.ground!r} and {quotient.ground!r}"
-        )
-    return _violating_circuit(matroid, quotient) is None
+    try:
+        Perspective(matroid, quotient)
+    except PerspectiveError:
+        return False
+    return True
 
 
 class Perspective:
@@ -41,12 +29,16 @@ class Perspective:
             raise DomainError(
                 f"perspective needs one ground set; got {matroid.ground!r} and {quotient.ground!r}"
             )
-        bad = _violating_circuit(matroid, quotient)
-        if bad is not None:
-            raise PerspectiveError(
-                f"not a perspective: circuit {matroid.ground.fmt(bad)} of the first matroid "
-                "is not a union of circuits of the second"
-            )
+        for c in matroid.circuits:
+            covered = 0
+            for cq in quotient.circuits:
+                if cq & ~c == 0:
+                    covered |= cq
+            if covered != c:
+                raise PerspectiveError(
+                    f"not a perspective: circuit {matroid.ground.fmt(c)} of the first matroid "
+                    "is not a union of circuits of the second"
+                )
         if matroid.rank() < quotient.rank():
             # implied by the circuit condition; kept as a cheap sanity net
             raise PerspectiveError(
@@ -76,11 +68,9 @@ class Perspective:
     def independent_spanning_sets(self) -> list:
         """All sets independent in `matroid` and spanning in `quotient`,
         sorted by size then lexicographically."""
-        out = [
-            s
-            for s in self.ground.subsets()
-            if self.matroid.is_independent(s) and self.quotient.is_spanning(s)
-        ]
+        rm, rq = self.matroid.ranks, self.quotient.ranks
+        full = self.quotient.rank()
+        out = [s for s in self.ground.subsets() if rm[s] == s.bit_count() and rq[s] == full]
         out.sort(key=self.ground.size_lex_key)
         return out
 

@@ -17,7 +17,7 @@ compatible-sets sum, the (x-1)-power expansion) are the M = M' and
 quotient-of-rank-0 cases and share the same arithmetic core.
 """
 
-from .activities import externally_active, internally_active
+from .activities import activities
 from .compatible import compatible_family, compatible_family_single, is_compatible
 from .errors import ConsistencyError
 from .matroid import Matroid, rank_zero_matroid
@@ -29,11 +29,8 @@ def tutte_activities(p: Perspective) -> Poly:
     """Sum of x^|Int| y^|Ext| z^defect over valid B."""
     terms = {}
     for b in p.independent_spanning_sets():
-        key = (
-            internally_active(p.quotient, b).bit_count(),
-            externally_active(p.matroid, b).bit_count(),
-            p.rank_defect(b),
-        )
+        internal, external = activities(p.quotient, p.matroid, b)
+        key = (internal.bit_count(), external.bit_count(), p.rank_defect(b))
         terms[key] = terms.get(key, 0) + 1
     return Poly(terms)
 
@@ -56,19 +53,23 @@ def tutte_rank_generating(p: Perspective) -> Poly:
     """Corank-nullity oracle: sum over every subset A of
 
         (x-1)^(r(M') - r_{M'}(A)) * (y-1)^(|A| - r_M(A)) * z^defect(A).
+
+    The exponent triples are counted first; each distinct one is expanded once.
     """
-    rq = p.quotient.rank()
-    xm1 = _powers(X - 1, rq)
+    rm, rq = p.matroid.ranks, p.quotient.ranks
+    full_m, full_q = p.matroid.rank(), p.quotient.rank()
+    counts = {}
+    for a in p.ground.subsets():
+        defect = full_m - full_q - rm[a] + rq[a]
+        if defect < 0:
+            p.rank_defect(a)  # raises, naming A
+        key = (full_q - rq[a], a.bit_count() - rm[a], defect)
+        counts[key] = counts.get(key, 0) + 1
+    xm1 = _powers(X - 1, full_q)
     ym1 = _powers(Y - 1, p.ground.size)
     total = Poly()
-    cache = {}
-    for a in p.ground.subsets():
-        key = (rq - p.quotient.rank(a), a.bit_count() - p.matroid.rank(a), p.rank_defect(a))
-        term = cache.get(key)
-        if term is None:
-            i, j, k = key
-            term = cache[key] = xm1[i] * ym1[j] * Poly.monomial(0, 0, k)
-        total = total + term
+    for (i, j, k), count in counts.items():
+        total = total + xm1[i] * ym1[j] * Poly.monomial(0, 0, k, count)
     return total
 
 
@@ -77,11 +78,8 @@ def tutte_bivariate_crapo(m: Matroid) -> Poly:
     of x^|Int(B)| y^|Ext(B)|."""
     terms = {}
     for b in m.bases:
-        key = (
-            internally_active(m, b).bit_count(),
-            externally_active(m, b).bit_count(),
-            0,
-        )
+        internal, external = activities(m, m, b)
+        key = (internal.bit_count(), external.bit_count(), 0)
         terms[key] = terms.get(key, 0) + 1
     return Poly(terms)
 

@@ -201,11 +201,25 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["tutte", "--input", str(tmp_path / "missing.txt")]) == 1
     capsys.readouterr()
 
+    # bytes that are not UTF-8: an input error on one line, not a traceback
+    f.write_bytes(b"elements: 2\nmatroid M circuits: {1,2}\n# \xe9\xff\n")
+    assert main(["tutte", "--input", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
     # property failure path: exit 3 with the report on stdout
     monkeypatch.setattr("mptutte.cli.cmd_check", lambda doc, seed=0: ("FAIL boom", False))
     f.write_text(FIXTURE)
     assert main(["check", "--input", str(f)]) == 3
     assert "boom" in capsys.readouterr().out
+
+
+def test_main_refuses_oversized_rank_table(tmp_path, capsys):
+    f = tmp_path / "free25.txt"
+    f.write_text("elements: 25\nmatroid M bases: {" + ",".join(map(str, range(1, 26))) + "}\n")
+    assert main(["tutte", "--input", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rank table over 25 elements") and err.count("\n") == 1
 
 
 def test_main_reads_stdin(monkeypatch, capsys):

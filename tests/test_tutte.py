@@ -7,6 +7,7 @@ from mptutte import (
     Matroid,
     Perspective,
     Poly,
+    PerspectiveError,
     X,
     Y,
     Z,
@@ -93,6 +94,16 @@ def test_rank_generating_empty_matroid():
     e = GroundSet(0)
     m = Matroid.from_bases(e, [0])
     assert tutte_rank_generating(Perspective(m, m)) == Poly.constant(1)
+
+
+def test_rank_generating_refuses_negative_defect():
+    # bypass validation: (U(1,2), free) is not a perspective, and the defect
+    # at the empty set is 1 - 2 < 0
+    e = GroundSet(2)
+    p = Perspective.__new__(Perspective)
+    p.matroid, p.quotient = uniform_matroid(1, e), free_matroid(e)
+    with pytest.raises(PerspectiveError, match=r"negative rank defect at \{\}"):
+        tutte_rank_generating(p)
 
 
 def test_specialize_m0(fixture):
