@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .bijection import backward, bijection_table, forward
 from .compatible import compatible_family
 from .errors import AxiomError, DomainError, ParseError, PerspectiveError
-from .graphic import Multigraph, cycle_matroid, identify_vertices
+from .graphic import Multigraph, components, cycle_matroid, identify_vertices
 from .matroid import Matroid
 from .perspective import Perspective
 from .polynomial import Poly
@@ -51,9 +51,7 @@ class Stanza:
 @dataclass(frozen=True)
 class InputDocument:
     labels: tuple  # display label per element, index 1..n at position i-1
-    int_labels: bool
     ground: GroundSet
-    natural_order: bool
     stanzas: tuple
     identify_classes: tuple | None  # partition of the graph's vertices, or None
 
@@ -65,17 +63,10 @@ class InputDocument:
         names = (self.labels[e - 1] for e in self.ground.labels(mask))
         return "{" + ",".join(names) + "}"
 
-    def semantic_key(self):
-        return (self.labels, self.ground.order, self.stanzas_key(), self.identify_classes)
-
-    def stanzas_key(self):
-        return tuple((s.kind, s.name, tuple(sorted(s.payload))) for s in self.stanzas)
-
 
 def parse_input(text: str) -> InputDocument:
     """Parse a description file.  Raises ParseError with the offending line."""
     labels = None
-    int_labels = False
     label_index = {}
     order = None
     stanzas = []
@@ -116,7 +107,6 @@ def parse_input(text: str) -> InputDocument:
             if len(tokens) == 1 and tokens[0].isdigit():
                 n = int(tokens[0])
                 labels = tuple(str(i) for i in range(1, n + 1))
-                int_labels = True
             else:
                 if len(set(tokens)) != len(tokens):
                     raise ParseError("duplicate element labels", no)
@@ -192,9 +182,7 @@ def parse_input(text: str) -> InputDocument:
         classes = _classes_from_pairs(stanzas[0], identify_pairs, identify_line)
     return InputDocument(
         labels=labels,
-        int_labels=int_labels,
         ground=ground,
-        natural_order=order is None or order == tuple(range(1, len(labels) + 1)),
         stanzas=tuple(stanzas),
         identify_classes=classes,
     )
@@ -214,22 +202,11 @@ def _graph_from_stanza(stanza: Stanza) -> Multigraph:
 
 
 def _classes_from_pairs(graph_stanza, pairs, line):
-    g = _graph_from_stanza(graph_stanza)
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
+    vertices = _graph_from_stanza(graph_stanza).vertices
     for u, v in pairs:
-        if u not in parent or v not in parent:
+        if u not in vertices or v not in vertices:
             raise ParseError(f"unknown vertex in identification {u}={v}", line)
-        parent[find(u)] = find(v)
-    groups = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(members) for members in groups.values())
+    return components(vertices, pairs)
 
 
 def document_matroids(doc: InputDocument) -> list:
@@ -259,36 +236,6 @@ def document_perspective(doc: InputDocument) -> Perspective:
     if len(ms) == 1:
         return Perspective(ms[0][1], ms[0][1])
     return Perspective(ms[0][1], ms[1][1])
-
-
-def serialize_input(doc: InputDocument) -> str:
-    """Canonical text form; parse(serialize(doc)) has doc's semantic content."""
-    lines = []
-    if doc.int_labels:
-        lines.append(f"elements: {len(doc.labels)}")
-    else:
-        lines.append("elements: " + " ".join(doc.labels))
-    if not doc.natural_order:
-        lines.append("order: " + " ".join(doc.labels[e - 1] for e in doc.ground.order))
-    for s in doc.stanzas:
-        if s.kind == "graph":
-            edges = " ".join(f"{doc.labels[l - 1]}={u}-{v}" for l, u, v in s.payload)
-            lines.append(f"graph {s.name} edges: {edges}")
-        else:
-            sets = " ".join(doc.fmt(mask) for mask in s.payload)
-            lines.append(f"matroid {s.name} {s.kind}: {sets}".rstrip())
-    if doc.identify_classes is not None:
-        pairs = [
-            f"{members[0]}={v}"
-            for members in doc.identify_classes
-            if len(members) > 1
-            for v in members[1:]
-        ]
-        if pairs:
-            lines.append("identify: " + " ".join(pairs))
-        else:
-            lines.append("identify:")
-    return "\n".join(lines) + "\n"
 
 
 # -- commands ----------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 Edges carry the matroid element labels (exactly 1..n, each once); loops and
 parallel edges are allowed and matter: a loop is a one-element circuit, a
-parallel pair a two-element circuit.  Identifying vertices coarsens the
-cycle structure, and (cycle_matroid(G), cycle_matroid(G with identified
-vertices)) is always a perspective.
+parallel pair a two-element circuit.  A cycle matroid is built from its
+spanning forests; its circuits are derived from them when asked for.
+Identifying vertices coarsens the cycle structure, and (cycle_matroid(G),
+cycle_matroid(G with identified vertices)) is always a perspective.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import DomainError
-from .matroid import Matroid
+from .matroid import Matroid, check_table_size
 from .setcore import GroundSet, bit
 
 
@@ -37,33 +39,46 @@ class Multigraph:
                 raise DomainError(f"edge endpoint {u!r} or {v!r} is not a declared vertex")
 
 
-def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
-    """Matroid on the edge labels whose circuits are the simple cycles of g.
+def components(vertices, pairs) -> tuple:
+    """Classes of the equivalence on `vertices` generated by the (u, v) pairs,
+    by union-find; classes and their members follow the order of `vertices`."""
+    parent = {v: v for v in vertices}
 
-    A nonempty edge set is a simple cycle exactly when every touched vertex
-    has degree 2 (a loop counts twice) and the touched subgraph is connected;
-    all 2^|E| edge subsets are scanned, which is fine at desk scale.
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    classes = {}
+    for v in vertices:
+        classes.setdefault(find(v), []).append(v)
+    return tuple(map(tuple, classes.values()))
+
+
+def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
+    """Matroid on the edge labels whose bases are the spanning forests of g.
+
+    With c connected components the rank is r = |V| - c, and an r-edge set
+    is a basis exactly when it is acyclic, i.e. still leaves c components.
+    All C(|E|, r) <= 2^|E| such sets are tested.  Spanning forests satisfy
+    basis exchange by theorem, so the family is not re-validated.
     """
     m = len(g.edges)
     if ground is None:
         ground = GroundSet(m)
     elif ground.size != m:
         raise DomainError(f"ground set has {ground.size} elements but the graph has {m} edges")
-    endpoint = {l: (u, v) for l, u, v in g.edges}
-    labels = sorted(endpoint)
-    circuits = []
-    for mask in range(1, 1 << m):
-        deg = {}
-        for l in labels:
-            if mask & bit(l):
-                u, v = endpoint[l]
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            continue
-        if _connected(deg.keys(), (endpoint[l] for l in labels if mask & bit(l))):
-            circuits.append(mask)
-    return Matroid.from_circuits(ground, circuits)
+    check_table_size(ground.mask.bit_length())
+    ends = [(u, v) for _, u, v in g.edges]
+    masks = [bit(l) for l, _, _ in g.edges]
+    c = len(components(g.vertices, ends))
+    r = len(g.vertices) - c
+    candidates = zip(combinations(ends, r), combinations(masks, r))  # in step
+    bases = [sum(edges) for pairs, edges in candidates if len(components(g.vertices, pairs)) == c]
+    return Matroid(ground, bases, validate=False)
 
 
 def identify_vertices(g: Multigraph, classes) -> Multigraph:
@@ -85,18 +100,3 @@ def identify_vertices(g: Multigraph, classes) -> Multigraph:
         vertices=tuple(dict.fromkeys(name[v] for v in g.vertices)),
         edges=tuple((l, name[u], name[v]) for l, u, v in g.edges),
     )
-
-
-def _connected(vertices, edge_endpoints) -> bool:
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in edge_endpoints:
-        parent[find(u)] = find(v)
-    roots = {find(v) for v in parent}
-    return len(roots) <= 1

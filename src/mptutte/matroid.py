@@ -12,7 +12,8 @@ lookup in ``Matroid.ranks``: a ``bytes`` table holding r(X) at index X, built
 from the bases on first use in O(2^n) time and 5 * 2^n bytes of peak memory,
 where n is the bit length of the ground mask.  Construction never builds it.
 Tables above ``MAX_TABLE_ELEMENTS`` positions are refused with a DomainError
-instead of exhausting memory.
+instead of exhausting memory; from_circuits and graphic.cycle_matroid, which
+enumerate up to 2^n sets themselves, refuse such ground sets up front.
 
 Loops and coloops are ordinary citizens: a rank-0 matroid is
 ``Matroid.from_bases(ground, [0])``, and from_circuits accepts singleton
@@ -63,8 +64,10 @@ class Matroid:
 
         Checks that the family is an antichain satisfying circuit
         elimination, then derives the bases as the maximum-size circuit-free
-        subsets.  An empty family gives the free matroid.
+        subsets.  An empty family gives the free matroid.  Ground sets too
+        large for a rank table are refused before the 2^n scan.
         """
+        check_table_size(ground.mask.bit_length())
         circs = sorted({ground.check_subset(c) for c in circuits})
         if validate:
             _check_circuit_axioms(ground, circs)
@@ -100,13 +103,6 @@ class Matroid:
             return self.bases[0].bit_count()
         self.ground.check_subset(x)
         return self.ranks[x]
-
-    def corank(self, x: int | None = None) -> int:
-        """Rank in the dual: |X| - r(M) + r(E \\ X)."""
-        if x is None:
-            x = self.ground.mask
-        self.ground.check_subset(x)
-        return x.bit_count() - self.rank() + self.rank(self.ground.mask ^ x)
 
     def is_independent(self, x: int) -> bool:
         """True iff some basis contains X, i.e. r(X) = |X|."""
@@ -146,11 +142,6 @@ class Matroid:
                     found.add(circ)
             self._circuits = tuple(sorted(found))
         return self._circuits
-
-    def circuits_within(self, x: int) -> tuple:
-        """All circuits contained in X."""
-        self.ground.check_subset(x)
-        return tuple(c for c in self.circuits if c & ~x == 0)
 
     def dual(self) -> "Matroid":
         """The dual matroid: bases are the complements of bases.  Cached."""
@@ -245,6 +236,19 @@ class Matroid:
                         )
 
 
+def check_table_size(n: int):
+    """Raise DomainError if a rank table over n positions exceeds the limit.
+
+    Callers that enumerate 2^n sets themselves call it before they start.
+    """
+    if n > MAX_TABLE_ELEMENTS:
+        size = 1 << n
+        raise DomainError(
+            f"rank table over {n} elements needs 2^{n} = {size} entries "
+            f"({5 * size >> 20} MiB while it is built); the limit is {MAX_TABLE_ELEMENTS} elements"
+        )
+
+
 def _rank_table(n: int, bases) -> bytes:
     """Ranks of all 2^n masks, from the bases.
 
@@ -256,12 +260,8 @@ def _rank_table(n: int, bases) -> bytes:
     otherwise, and r(S) = |J(S)|.  Elements absent from the ground set lie in
     no basis, so their masks simply repeat the ranks of the ground part.
     """
+    check_table_size(n)
     size = 1 << n
-    if n > MAX_TABLE_ELEMENTS:
-        raise DomainError(
-            f"rank table over {n} elements needs 2^{n} = {size} entries "
-            f"({5 * size >> 20} MiB while it is built); the limit is {MAX_TABLE_ELEMENTS} elements"
-        )
     nbytes = max(size >> 3, 1)
     flags = bytearray(nbytes)
     for b in bases:

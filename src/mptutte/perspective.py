@@ -39,11 +39,6 @@ class Perspective:
                     f"not a perspective: circuit {matroid.ground.fmt(c)} of the first matroid "
                     "is not a union of circuits of the second"
                 )
-        if matroid.rank() < quotient.rank():
-            # implied by the circuit condition; kept as a cheap sanity net
-            raise PerspectiveError(
-                f"quotient rank {quotient.rank()} exceeds matroid rank {matroid.rank()}"
-            )
         self.matroid = matroid
         self.quotient = quotient
 

@@ -39,13 +39,6 @@ class Poly:
         """Copy of the term map (exponent triple -> coefficient)."""
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def add_monomial(self, a: int, b: int, c: int) -> "Poly":
-        """self + x^a y^b z^c."""
-        return self + Poly.monomial(a, b, c)
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = Poly.constant(other)

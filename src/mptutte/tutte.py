@@ -12,13 +12,14 @@ agree coefficient-exactly:
                             activity-free, and kept strictly as the
                             cross-validation oracle.
 
-The bivariate specializations (Crapo's activities sum over bases, the
-compatible-sets sum, the (x-1)-power expansion) are the M = M' and
-quotient-of-rank-0 cases and share the same arithmetic core.
+The bivariate specializations are the M = M' and quotient-of-rank-0 cases:
+Crapo's activities sum over bases and Kochol's compatible-sets sum are
+tutte_activities and tutte_compatible on (M, M), and the (x-1)-power
+expansion shares the same arithmetic core.
 """
 
 from .activities import activities
-from .compatible import compatible_family, compatible_family_single, is_compatible
+from .compatible import compatible_family, is_compatible
 from .errors import ConsistencyError
 from .matroid import Matroid, rank_zero_matroid
 from .perspective import Perspective
@@ -74,24 +75,15 @@ def tutte_rank_generating(p: Perspective) -> Poly:
 
 
 def tutte_bivariate_crapo(m: Matroid) -> Poly:
-    """Activities expansion of the ordinary Tutte polynomial: sum over bases
-    of x^|Int(B)| y^|Ext(B)|."""
-    terms = {}
-    for b in m.bases:
-        internal, external = activities(m, m, b)
-        key = (internal.bit_count(), external.bit_count(), 0)
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(terms)
+    """Activities expansion of the ordinary Tutte polynomial, the (M, M) case
+    of tutte_activities: sum over bases of x^|Int(B)| y^|Ext(B)|."""
+    return tutte_activities(Perspective(m, m))
 
 
 def tutte_bivariate_kochol(m: Matroid) -> Poly:
-    """Compatible-sets expansion: sum over D(M, <) of x^r(M/X) y^r*(M|X)."""
-    r = m.rank()
-    terms = {}
-    for x in compatible_family_single(m):
-        key = (r - m.rank(x), x.bit_count() - m.rank(x), 0)
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(terms)
+    """Compatible-sets expansion, the (M, M) case of tutte_compatible: sum
+    over D(M, <) of x^r(M/X) y^r*(M|X)."""
+    return tutte_compatible(Perspective(m, m))
 
 
 def tutte_m0_expansion(m: Matroid) -> Poly:

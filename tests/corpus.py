@@ -14,6 +14,7 @@ Everything is deterministic: fixed seeds, sorted iteration, no wall-clock
 dependence.
 """
 
+import functools
 import itertools
 import random
 
@@ -86,9 +87,11 @@ def _vertex_names(k):
     return [f"v{i}" for i in range(k)]
 
 
+@functools.cache
 def slot_canonical_graphs(m):
     """Multigraphs with m edges on m+1 vertices, one per distinct labeled
-    cycle matroid under the sorted-slot label assignment."""
+    cycle matroid under the sorted-slot label assignment.  Cached: the corpus
+    and the graphic tests share one enumeration."""
     names = _vertex_names(m + 1)
     slots = [(u, v) for i, u in enumerate(names) for v in names[i:]]
     seen = {}
@@ -127,6 +130,17 @@ def _graph_circuit_family(m, edges):
         if len({find(x) for x in parent}) == 1:
             fam.append(mask)
     return frozenset(fam)
+
+
+def ladder(k):
+    """Triangle strip with k edges: edge i joins v[(i-1)//2] and the next or
+    second-next vertex."""
+    edges = []
+    for i in range(1, k + 1):
+        a = (i - 1) // 2
+        edges.append((i, f"v{a}", f"v{a + 1 + (i - 1) % 2}"))
+    vertices = tuple(dict.fromkeys(v for _, u, w in edges for v in (u, w)))
+    return Multigraph(vertices=vertices, edges=tuple(edges))
 
 
 def _relabel_family(fam, perm, m):

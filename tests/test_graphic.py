@@ -10,7 +10,8 @@ from mptutte import (
     identify_vertices,
     validate_perspective,
 )
-from corpus import fixture_matroids
+from mptutte.graphic import components
+from corpus import _graph_circuit_family, fixture_matroids, ladder, slot_canonical_graphs
 
 TWO_TRIANGLES = Multigraph(
     vertices=("a", "b", "c", "d"),
@@ -54,6 +55,53 @@ def test_identify_reproduces_fixture_quotient():
     assert circuit_sets(mp) == [[1], [2, 3], [2, 4, 5], [3, 4, 5]]
     assert mp.rank() == 2
     assert mp == fixture_matroids()[1]
+
+
+def identify_v0_v3(g):
+    return identify_vertices(g, [("v0", "v3")] + [(v,) for v in g.vertices if v not in ("v0", "v3")])
+
+
+def test_forest_circuits_match_cycle_scan_on_small_graphs():
+    # the corpus scan finds simple cycles by degrees and connectivity and
+    # shares no code with the forest builder
+    seen = 0
+    for m in range(6):
+        for fam, g in slot_canonical_graphs(m).items():
+            assert frozenset(cycle_matroid(g).circuits) == fam, g
+            seen += 1
+    assert seen == 238
+
+
+def test_forest_circuits_match_cycle_scan_on_ladder_12():
+    g = ladder(12)
+    for graph in (g, identify_v0_v3(g)):
+        assert frozenset(cycle_matroid(graph).circuits) == _graph_circuit_family(12, graph.edges)
+
+
+def test_ladder_14_basis_counts():
+    g = ladder(14)
+    assert len(cycle_matroid(g).bases) == 377
+    assert len(cycle_matroid(identify_v0_v3(g)).bases) == 335
+
+
+def test_loop_parallel_pair_and_isolated_vertex():
+    g = Multigraph(
+        vertices=("a", "b", "c", "d"),
+        edges=((1, "a", "a"), (2, "a", "b"), (3, "b", "a"), (4, "b", "c")),
+    )
+    m = cycle_matroid(g)
+    assert m.rank() == len(g.vertices) - component_count(g) == 2
+    assert [sorted(m.ground.labels(b)) for b in m.bases] == [[2, 4], [3, 4]]
+    assert circuit_sets(m) == [[1], [2, 3]]
+    assert frozenset(m.circuits) == _graph_circuit_family(4, g.edges)
+
+
+def test_components_first_seen_order():
+    assert components("abcde", [("c", "a"), ("e", "d"), ("d", "e")]) == (
+        ("a", "c"), ("b",), ("d", "e"),
+    )
+    assert components(("x",), []) == (("x",),)
+    assert components((), []) == ()
 
 
 def test_identify_identity_partition():

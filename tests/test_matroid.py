@@ -111,18 +111,6 @@ def test_rank_examples(pair):
     assert m.rank(0) == 0
 
 
-def test_corank(pair):
-    m, mp = pair
-    e = m.ground
-    assert mp.corank() == 3
-    assert m.corank(0) == 0
-    x = e.subset({3, 4, 5})
-    assert m.corank(x) == 2
-    assert m.corank(x) == m.dual().rank(x)
-    for s in e.subsets():
-        assert m.corank(s) == m.dual().rank(s)
-
-
 def test_is_independent(pair):
     m, _ = pair
     e = m.ground
@@ -234,14 +222,6 @@ def test_circuits_against_brute_force(pair, small_matroids):
     for matroid in [m, mp, m.dual(), mp.dual()] + small_matroids:
         derived = Matroid(matroid.ground, matroid.bases, validate=False)
         assert sorted(derived.circuits) == brute_circuits(matroid)
-
-
-def test_circuits_within(pair):
-    m, _ = pair
-    e = m.ground
-    assert m.circuits_within(e.subset({1, 2, 3, 4})) == (e.subset({1, 2, 3}),)
-    assert m.circuits_within(e.subset({2, 3, 4, 5})) == (e.subset({3, 4, 5}),)
-    assert m.circuits_within(0) == ()
 
 
 def test_rank_submodular(pair, small_matroids):

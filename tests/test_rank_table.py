@@ -11,7 +11,6 @@ import oracle
 from mptutte import (
     DomainError,
     GroundSet,
-    Multigraph,
     backward,
     compatible_family,
     cycle_matroid,
@@ -22,17 +21,7 @@ from mptutte import (
     is_compatible,
     uniform_matroid,
 )
-
-
-def ladder(k):
-    """Triangle strip with k edges: edge i joins v[(i-1)//2] and the next or
-    second-next vertex."""
-    edges = []
-    for i in range(1, k + 1):
-        a = (i - 1) // 2
-        edges.append((i, f"v{a}", f"v{a + 1 + (i - 1) % 2}"))
-    vertices = tuple(dict.fromkeys(v for _, u, w in edges for v in (u, w)))
-    return Multigraph(vertices=vertices, edges=tuple(edges))
+from corpus import ladder
 
 
 def test_ranks_match_brute_rank_on_corpus(corpus):
