@@ -10,7 +10,7 @@ available as `forward` / `backward` / `bijection_table`.
 
 from .activities import externally_active, internally_active
 from .bijection import BijectionRow, backward, bijection_table, forward
-from .compatible import compatible_family, compatible_family_single, is_compatible
+from .compatible import compatible_family, is_compatible
 from .errors import (
     AxiomError,
     ConsistencyError,
@@ -56,7 +56,6 @@ __all__ = [
     "bijection_table",
     "bit",
     "compatible_family",
-    "compatible_family_single",
     "cycle_matroid",
     "externally_active",
     "forward",

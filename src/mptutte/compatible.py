@@ -33,7 +33,3 @@ def compatible_family(p: Perspective) -> list:
     matroid, in increasing mask order."""
     return [x for x in p.ground.subsets() if in_family(p, x)]
 
-
-def compatible_family_single(m: Matroid) -> list:
-    """D(M, <): the perspective family of (M, M)."""
-    return compatible_family(Perspective(m, m))

@@ -3,7 +3,8 @@
 Edges carry the matroid element labels (exactly 1..n, each once); loops and
 parallel edges are allowed and matter: a loop is a one-element circuit, a
 parallel pair a two-element circuit.  A cycle matroid is built from its
-spanning forests; its circuits are derived from them when asked for.
+spanning forests, found by a union-find with early exit; its circuits are
+derived from them when asked for.
 Identifying vertices coarsens the cycle structure, and (cycle_matroid(G),
 cycle_matroid(G with identified vertices)) is always a perspective.
 """
@@ -62,9 +63,10 @@ def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
     """Matroid on the edge labels whose bases are the spanning forests of g.
 
     With c connected components the rank is r = |V| - c, and an r-edge set
-    is a basis exactly when it is acyclic, i.e. still leaves c components.
-    All C(|E|, r) <= 2^|E| such sets are tested.  Spanning forests satisfy
-    basis exchange by theorem, so the family is not re-validated.
+    is a basis exactly when it is acyclic.  All C(|E|, r) <= 2^|E| such sets
+    are tested by an index union-find that stops at the first edge closing a
+    cycle.  Spanning forests satisfy basis exchange by theorem, so the family
+    is not re-validated.
     """
     m = len(g.edges)
     if ground is None:
@@ -72,13 +74,29 @@ def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
     elif ground.size != m:
         raise DomainError(f"ground set has {ground.size} elements but the graph has {m} edges")
     check_table_size(ground.mask.bit_length())
-    ends = [(u, v) for _, u, v in g.edges]
+    index = {v: k for k, v in enumerate(g.vertices)}
+    ends = [(index[u], index[v]) for _, u, v in g.edges]
     masks = [bit(l) for l, _, _ in g.edges]
-    c = len(components(g.vertices, ends))
-    r = len(g.vertices) - c
+    roots = list(range(len(index)))
+    r = len(roots) - len(components(roots, ends))
     candidates = zip(combinations(ends, r), combinations(masks, r))  # in step
-    bases = [sum(edges) for pairs, edges in candidates if len(components(g.vertices, pairs)) == c]
+    bases = [sum(edges) for pairs, edges in candidates if _acyclic(roots, pairs)]
     return Matroid(ground, bases, validate=False)
+
+
+def _acyclic(roots: list, pairs) -> bool:
+    """True iff the vertex-index pairs form a forest; the union-find starts
+    from a copy of `roots` and stops at the first edge closing a cycle."""
+    parent = roots.copy()
+    for u, v in pairs:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
 
 
 def identify_vertices(g: Multigraph, classes) -> Multigraph:

@@ -8,12 +8,14 @@ correctness is a theorem (duals, minors) skip validation via the ``validate``
 flag.
 
 Every rank question (rank, independence, spanning, greedy bases) is one
-lookup in ``Matroid.ranks``: a ``bytes`` table holding r(X) at index X, built
-from the bases on first use in O(2^n) time and 5 * 2^n bytes of peak memory,
-where n is the bit length of the ground mask.  Construction never builds it.
-Tables above ``MAX_TABLE_ELEMENTS`` positions are refused with a DomainError
-instead of exhausting memory; from_circuits and graphic.cycle_matroid, which
-enumerate up to 2^n sets themselves, refuse such ground sets up front.
+lookup in ``Matroid.ranks``: a ``bytes`` table holding r(X) at index X, where
+n is the bit length of the ground mask.  The table takes O(2^n) time and
+5 * 2^n bytes of peak memory.  from_circuits builds it while constructing
+(from the circuits' upward closure) and derives the bases from it; every
+other matroid builds it from the bases on first use.  Tables above
+``MAX_TABLE_ELEMENTS`` positions are refused with a DomainError instead of
+exhausting memory; from_circuits and graphic.cycle_matroid, which enumerate
+up to 2^n sets themselves, refuse such ground sets up front.
 
 Loops and coloops are ordinary citizens: a rank-0 matroid is
 ``Matroid.from_bases(ground, [0])``, and from_circuits accepts singleton
@@ -63,25 +65,26 @@ class Matroid:
         """Matroid from its circuit family.
 
         Checks that the family is an antichain satisfying circuit
-        elimination, then derives the bases as the maximum-size circuit-free
-        subsets.  An empty family gives the free matroid.  Ground sets too
-        large for a rank table are refused before the 2^n scan.
+        elimination.  The independent sets are the complement of the
+        circuits' upward closure; one greedy pass over them gives the rank
+        table, which is kept, and the bases are the r(E)-sets whose rank is
+        their size.  An empty family gives the free matroid.  Ground sets too
+        large for a rank table are refused before anything is enumerated.
         """
-        check_table_size(ground.mask.bit_length())
+        n = ground.mask.bit_length()
+        check_table_size(n)
         circs = sorted({ground.check_subset(c) for c in circuits})
         if validate:
             _check_circuit_axioms(ground, circs)
-        best, best_size = [], -1
-        for s in ground.subsets():
-            if any(c & ~s == 0 for c in circs):
-                continue
-            size = s.bit_count()
-            if size > best_size:
-                best, best_size = [s], size
-            elif size == best_size:
-                best.append(s)
-        m = cls(ground, best, validate=False)
+        # positions outside the ground set are loops, as in _rank_table
+        loops = [1 << i for i in range(n) if not ground.mask >> i & 1]
+        dependent = _closure(n, circs + loops, up=True)
+        ranks = _greedy_ranks(n, dependent ^ ((1 << (1 << n)) - 1))
+        r = ranks[ground.mask]
+        bases = [s for s in map(sum, combinations(map(bit, ground.order), r)) if ranks[s] == r]
+        m = cls(ground, bases, validate=False)
         m._circuits = tuple(circs)
+        m._ranks = ranks
         return m
 
     # -- basic oracles -----------------------------------------------------
@@ -250,31 +253,42 @@ def check_table_size(n: int):
 
 
 def _rank_table(n: int, bases) -> bytes:
-    """Ranks of all 2^n masks, from the bases.
-
-    First the independent sets: a 2^n-bit int with bit S set for each basis
-    S is closed downwards by one shift/OR pass per element (the subset zeta
-    transform of Bjorklund-Husfeldt-Kaski-Koivisto, FOCS 2008).  Then one
-    greedy pass in increasing mask order: with h the highest element of S, a
-    basis J(S) of S is J(S - h) + h when that set is independent and J(S - h)
-    otherwise, and r(S) = |J(S)|.  Elements absent from the ground set lie in
-    no basis, so their masks simply repeat the ranks of the ground part.
-    """
+    """Ranks of all 2^n masks, from the bases, whose downward closure is the
+    family of independent sets.  Elements absent from the ground set lie in no
+    basis, so their masks simply repeat the ranks of the ground part."""
     check_table_size(n)
-    size = 1 << n
-    nbytes = max(size >> 3, 1)
+    return _greedy_ranks(n, _closure(n, bases, up=False))
+
+
+def _closure(n: int, members, up: bool) -> int:
+    """The 2^n-bit int with bit S set for each S in the downward (or, when
+    `up`, upward) closure of the masks `members`: one shift/OR pass per
+    element, the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto
+    (FOCS 2008)."""
+    nbytes = max((1 << n) >> 3, 1)
     flags = bytearray(nbytes)
-    for b in bases:
-        flags[b >> 3] |= 1 << (b & 7)
-    indep = int.from_bytes(flags, "little")
+    for s in members:
+        flags[s >> 3] |= 1 << (s & 7)
+    family = int.from_bytes(flags, "little")
     for i in range(n):
         # bit S of `without` is set when element i is not in S
         run = 1 << i >> 3
         pattern = b"\xff" * run + bytes(run) if run else bytes([(0x55, 0x33, 0x0F)[i]])
         without = int.from_bytes(pattern * (nbytes // len(pattern)), "little")
-        indep |= (indep >> (1 << i)) & without
-    flags = indep.to_bytes(nbytes, "little")
+        if up:
+            family |= (family << (1 << i)) & (without << (1 << i))
+        else:
+            family |= (family >> (1 << i)) & without
+    return family
 
+
+def _greedy_ranks(n: int, independent: int) -> bytes:
+    """Ranks of all 2^n masks from the independence flags (bit S set when S is
+    independent), by one greedy pass in increasing mask order: with h the
+    highest element of S, a basis J(S) of S is J(S - h) + h when that set is
+    independent and J(S - h) otherwise, and r(S) = |J(S)|."""
+    size = 1 << n
+    flags = independent.to_bytes(max(size >> 3, 1), "little")
     ranks = bytearray(size)
     greedy = array("I", [0]) * size
     for i in range(n):

@@ -1,13 +1,13 @@
 """Definition-literal oracle for the rank-table fast paths.
 
-These functions answer the same questions as mptutte.activities and
-mptutte.compatible straight from the definitions, scanning the circuit
-families of the matroid and its dual.  Those families are derived from the
-bases without the rank table, so the oracle shares no code with the lookups
-it checks.
+These functions answer the same questions as mptutte.activities,
+mptutte.compatible, Matroid.from_circuits and the Perspective check straight
+from the definitions, scanning the circuit families of the matroid and its
+dual.  Those families are derived from the bases without the rank table, so
+the oracle shares no code with the lookups it checks.
 """
 
-from mptutte import Matroid, bit
+from mptutte import Matroid, PerspectiveError, bit
 
 
 def brute_rank(m: Matroid, x: int) -> int:
@@ -59,3 +59,32 @@ def is_compatible(m: Matroid, x: int) -> bool:
         if x & c == bit(ground.min_element(c)):
             return False
     return True
+
+
+def check_perspective(matroid: Matroid, quotient: Matroid):
+    """Raise PerspectiveError at the first circuit of `matroid` (in mask
+    order) that is not a union of the `quotient`-circuits inside it."""
+    for c in matroid.circuits:
+        covered = 0
+        for cq in quotient.circuits:
+            if cq & ~c == 0:
+                covered |= cq
+        if covered != c:
+            raise PerspectiveError(
+                f"not a perspective: circuit {matroid.ground.fmt(c)} of the first matroid "
+                "is not a union of circuits of the second"
+            )
+
+
+def bases_from_circuits(ground, circs) -> list:
+    """The maximum-size subsets of the ground set containing no circuit."""
+    best, best_size = [], -1
+    for s in ground.subsets():
+        if any(c & ~s == 0 for c in circs):
+            continue
+        size = s.bit_count()
+        if size > best_size:
+            best, best_size = [s], size
+        elif size == best_size:
+            best.append(s)
+    return best

@@ -1,8 +1,8 @@
+import oracle
 from mptutte import (
     GroundSet,
     Perspective,
     compatible_family,
-    compatible_family_single,
     free_matroid,
     is_compatible,
     rank_zero_matroid,
@@ -44,26 +44,36 @@ def test_family_of_free_pair():
     assert len(free.bases) == 1
 
 
+def single_family(m):
+    """D(M, <): the compatible family of the perspective (M, M)."""
+    return compatible_family(Perspective(m, m))
+
+
 def test_single_family_small_cases():
     # brute-forced by hand over all subsets; cardinality always #bases
     e2 = GroundSet(2)
     u12 = uniform_matroid(1, e2)
-    assert compatible_family_single(u12) == [0, e2.mask]
-    assert len(compatible_family_single(u12)) == len(u12.bases)
+    assert single_family(u12) == [0, e2.mask]
+    assert len(single_family(u12)) == len(u12.bases)
 
     e1 = GroundSet(1)
-    assert compatible_family_single(free_matroid(e1)) == [0]
-    assert compatible_family_single(rank_zero_matroid(e1)) == [1]
+    assert single_family(free_matroid(e1)) == [0]
+    assert single_family(rank_zero_matroid(e1)) == [1]
 
 
 def test_single_family_equals_identity_perspective(small_matroids):
+    # Kochol's D(M, <) straight from its definition: X compatible with M*
+    # and E \ X compatible with M, by the oracle's circuit scans
     for m in small_matroids[::2]:
-        assert compatible_family_single(m) == compatible_family(Perspective(m, m))
+        full = m.ground.mask
+        literal = [x for x in m.ground.subsets()
+                   if oracle.is_compatible(m.dual(), x) and oracle.is_compatible(m, full ^ x)]
+        assert single_family(m) == literal
 
 
 def test_family_size_equals_basis_count(small_matroids):
     for m in small_matroids:
-        assert len(compatible_family_single(m)) == len(m.bases)
+        assert len(single_family(m)) == len(m.bases)
 
 
 def test_family_sorted_by_mask():

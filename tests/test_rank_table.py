@@ -2,8 +2,11 @@
 
 The oracle scans circuit families derived from the bases and never touches
 the rank table, so agreement here checks the table, the activity pass, the
-compatibility test and the compatible family independently.
+compatibility test, the compatible family, the perspective check and the
+circuit-built tables independently.
 """
+
+import itertools
 
 import pytest
 
@@ -11,6 +14,9 @@ import oracle
 from mptutte import (
     DomainError,
     GroundSet,
+    Matroid,
+    Perspective,
+    PerspectiveError,
     backward,
     compatible_family,
     cycle_matroid,
@@ -21,7 +27,28 @@ from mptutte import (
     is_compatible,
     uniform_matroid,
 )
-from corpus import ladder
+from corpus import all_matroids_up_to, ladder, random_circuit_matroids
+
+
+def construction_corpus():
+    """Same-size groups of matroids: every matroid on <= 3 elements and the
+    seeded random circuit systems on 4 and 5 elements, each group followed by
+    the restrictions that drop element 1, whose ground sets have a gap."""
+    groups = {}
+    for m in all_matroids_up_to(3):
+        groups.setdefault(m.size, []).append(m)
+    groups[4] = random_circuit_matroids(4, 250, 20260813)
+    groups[5] = random_circuit_matroids(5, 350, 20260814)
+    gapped = {n: [m.restrict(m.ground.mask & ~1) for m in ms] for n, ms in groups.items() if n}
+    return list(groups.values()) + list(gapped.values())
+
+
+def perspective_outcome(check, m, q):
+    try:
+        check(m, q)
+    except PerspectiveError as e:
+        return str(e)
+    return None
 
 
 def test_ranks_match_brute_rank_on_corpus(corpus):
@@ -80,3 +107,24 @@ def test_full_table_matches_brute_rank_beyond_the_corpus(which):
 def test_oversized_rank_table_is_refused():
     with pytest.raises(DomainError, match=r"25 elements needs 2\^25 = 33554432 entries"):
         free_matroid(GroundSet(25)).rank(1)
+
+
+def test_perspective_check_matches_circuit_union_oracle():
+    # every ordered pair within a group, rebuilt from the bases so that the
+    # circuits and the tables start cold
+    seen = {True: 0, False: 0}
+    for group in construction_corpus():
+        for m, q in itertools.product(group, repeat=2):
+            fresh = [Matroid(x.ground, x.bases, validate=False) for x in (m, q)]
+            want = perspective_outcome(oracle.check_perspective, m, q)
+            assert perspective_outcome(Perspective, *fresh) == want, (m, q)
+            seen[want is None] += 1
+    assert min(seen.values()) > 1000, seen
+
+
+def test_from_circuits_matches_base_scan_oracle():
+    for group in construction_corpus():
+        for m in group:
+            built = Matroid.from_circuits(m.ground, m.circuits)
+            assert list(built.bases) == oracle.bases_from_circuits(m.ground, m.circuits), m
+            assert built.ranks == Matroid(m.ground, m.bases, validate=False).ranks, m
