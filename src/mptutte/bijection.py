@@ -17,7 +17,7 @@ lexicographically, with the monomial exponents
 
 from dataclasses import dataclass
 
-from .activities import activities
+from .activities import activities, valid_sets_with_activities
 from .compatible import in_family
 from .errors import DomainError
 from .perspective import Perspective
@@ -71,9 +71,10 @@ def backward(p: Perspective, x: int, check: bool = True) -> int:
 
 def bijection_table(p: Perspective) -> list:
     """Rows for every valid B, sorted by (size, lex)."""
+    full = p.matroid.rank()
     rows = []
-    for b in p.independent_spanning_sets():
-        internal, external = activities(p.quotient, p.matroid, b)
+    for b, internal, external in sorted(valid_sets_with_activities(p.quotient, p.matroid),
+                                        key=lambda row: p.ground.size_lex_key(row[0])):
         x = (b & ~internal) | external
         assert internal & ~b == 0 and external & b == 0
         rows.append(
@@ -82,7 +83,7 @@ def bijection_table(p: Perspective) -> list:
                 internal=internal,
                 external=external,
                 x=x,
-                monomial=(internal.bit_count(), external.bit_count(), p.rank_defect(b)),
+                monomial=(internal.bit_count(), external.bit_count(), full - b.bit_count()),
             )
         )
     return rows

@@ -13,7 +13,8 @@ perspective (M, M)); two stanzas, or a graph stanza plus ``identify:``, make
 a perspective document whose first matroid is M and second is M'.
 
 Exit codes are a contract: 0 success, 1 parse/input error, 2 invalid
-perspective, 3 property-check failure.
+perspective, 3 property-check failure or a tripped internal cross-check
+(ConsistencyError).
 """
 
 import argparse
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .bijection import backward, bijection_table, forward
 from .compatible import compatible_family
-from .errors import AxiomError, DomainError, ParseError, PerspectiveError
+from .errors import AxiomError, ConsistencyError, DomainError, ParseError, PerspectiveError
 from .graphic import Multigraph, components, cycle_matroid, identify_vertices
 from .matroid import Matroid
 from .perspective import Perspective
@@ -338,12 +339,7 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         n = doc.ground.size
         for i in range(10):
             perm = rng.sample(range(1, n + 1), n)
-            ground = GroundSet(n, order=perm)
-            reordered = Perspective(
-                Matroid(ground, p.matroid.bases, validate=False),
-                Matroid(ground, p.quotient.bases, validate=False),
-            )
-            other = tutte_activities(reordered)
+            other = tutte_activities(p.reordered(perm))
             if other != base:
                 raise _CheckFailure(f"order {perm} gave {other} instead of {base}")
 
@@ -415,6 +411,9 @@ def main(argv=None) -> int:
     except PerspectiveError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ConsistencyError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -64,9 +64,10 @@ class Matroid:
     def from_circuits(cls, ground: GroundSet, circuits, validate: bool = True) -> "Matroid":
         """Matroid from its circuit family.
 
-        Checks that the family is an antichain satisfying circuit
-        elimination.  The independent sets are the complement of the
-        circuits' upward closure; one greedy pass over them gives the rank
+        The circuits' upward closure is the family of dependent sets; the
+        validation checks that the family is an antichain satisfying circuit
+        elimination, each elimination by one lookup in that closure.  The
+        independent sets are its complement; one greedy pass gives the rank
         table, which is kept, and the bases are the r(E)-sets whose rank is
         their size.  An empty family gives the free matroid.  Ground sets too
         large for a rank table are refused before anything is enumerated.
@@ -74,17 +75,26 @@ class Matroid:
         n = ground.mask.bit_length()
         check_table_size(n)
         circs = sorted({ground.check_subset(c) for c in circuits})
-        if validate:
-            _check_circuit_axioms(ground, circs)
         # positions outside the ground set are loops, as in _rank_table
         loops = [1 << i for i in range(n) if not ground.mask >> i & 1]
         dependent = _closure(n, circs + loops, up=True)
+        if validate:
+            flags = dependent.to_bytes(max((1 << n) >> 3, 1), "little")
+            _check_circuit_axioms(ground, circs, flags)
         ranks = _greedy_ranks(n, dependent ^ ((1 << (1 << n)) - 1))
         r = ranks[ground.mask]
         bases = [s for s in map(sum, combinations(map(bit, ground.order), r)) if ranks[s] == r]
         m = cls(ground, bases, validate=False)
         m._circuits = tuple(circs)
         m._ranks = ranks
+        return m
+
+    def reordered(self, ground: GroundSet) -> "Matroid":
+        """The same matroid under another order of its ground set.  Bases,
+        circuits and the rank table are indexed by mask, so all carry over."""
+        m = Matroid(ground, self.bases, validate=False)
+        m._circuits = self._circuits
+        m._ranks = self.ranks
         return m
 
     # -- basic oracles -----------------------------------------------------
@@ -303,7 +313,10 @@ def _greedy_ranks(n: int, independent: int) -> bytes:
     return bytes(ranks)
 
 
-def _check_circuit_axioms(ground: GroundSet, circs):
+def _check_circuit_axioms(ground: GroundSet, circs, dependent: bytes):
+    """Raise AxiomError unless `circs` (sorted masks) is a nonempty-set
+    antichain with circuit elimination.  `dependent` holds bit S for each S
+    containing some member, so "a circuit lies inside U" is one lookup."""
     fmt = ground.fmt
     for c in circs:
         if c == 0:
@@ -317,7 +330,7 @@ def _check_circuit_axioms(ground: GroundSet, circs):
             e = common & -common
             common ^= e
             union = (c1 | c2) ^ e
-            if not any(c & ~union == 0 for c in circs):
+            if not dependent[union >> 3] >> (union & 7) & 1:
                 raise AxiomError(
                     "circuit elimination fails: no circuit inside "
                     f"{fmt(union)} (from {fmt(c1)}, {fmt(c2)} dropping {e.bit_length()})"

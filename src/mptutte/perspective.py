@@ -13,11 +13,15 @@ union of M'-circuits iff each e in C lies in an M'-circuit inside C, i.e.
 r_M'(C - e) = r_M'(C).  So a failing pair is reported by the first circuit of
 M, in mask order, with an e where r_M'(C - e) < r_M'(C): the circuit that the
 circuit-union scan names.
+
+Rank tables are indexed by mask, not by the order `<`, so reordered keeps
+both tables when it changes the order.
 """
 
+from .activities import valid_sets_with_activities
 from .errors import DomainError, PerspectiveError
 from .matroid import Matroid
-from .setcore import bit
+from .setcore import GroundSet, bit
 
 
 def validate_perspective(matroid: Matroid, quotient: Matroid) -> bool:
@@ -68,12 +72,21 @@ class Perspective:
             )
         return d
 
+    def reordered(self, order) -> "Perspective":
+        """The same pair under another order `<` of the ground set.  Rank
+        tables are indexed by mask, not by order, so both carry over; the
+        pair is checked again by the rank-step pass."""
+        order = tuple(order)
+        if len(order) != self.ground.size or set(order) != set(self.ground.order):
+            raise DomainError(f"order {order!r} is not a permutation of the ground set "
+                              f"{self.ground.fmt(self.ground.mask)}")
+        ground = GroundSet.from_order(order)
+        return Perspective(self.matroid.reordered(ground), self.quotient.reordered(ground))
+
     def independent_spanning_sets(self) -> list:
         """All sets independent in `matroid` and spanning in `quotient`,
         sorted by size then lexicographically."""
-        rm, rq = self.matroid.ranks, self.quotient.ranks
-        full = self.quotient.rank()
-        out = [s for s in self.ground.subsets() if rm[s] == s.bit_count() and rq[s] == full]
+        out = [b for b, _, _ in valid_sets_with_activities(self.quotient, self.matroid)]
         out.sort(key=self.ground.size_lex_key)
         return out
 

@@ -12,13 +12,16 @@ agree coefficient-exactly:
                             activity-free, and kept strictly as the
                             cross-validation oracle.
 
+The first two sum over families grown top-down along the ground order, at
+O(n) rank lookups per member; only the oracle visits all 2^n subsets.
+
 The bivariate specializations are the M = M' and quotient-of-rank-0 cases:
 Crapo's activities sum over bases and Kochol's compatible-sets sum are
 tutte_activities and tutte_compatible on (M, M), and the (x-1)-power
 expansion shares the same arithmetic core.
 """
 
-from .activities import activities
+from .activities import valid_sets_with_activities
 from .compatible import compatible_family, is_compatible
 from .errors import ConsistencyError
 from .matroid import Matroid, rank_zero_matroid
@@ -27,25 +30,23 @@ from .polynomial import ONE, Poly, X, Y, Z
 
 
 def tutte_activities(p: Perspective) -> Poly:
-    """Sum of x^|Int| y^|Ext| z^defect over valid B."""
+    """Sum of x^|Int| y^|Ext| z^defect over valid B; B is independent in M
+    and spanning in M', so its rank defect is r(M) - |B|."""
+    full = p.matroid.rank()
     terms = {}
-    for b in p.independent_spanning_sets():
-        internal, external = activities(p.quotient, p.matroid, b)
-        key = (internal.bit_count(), external.bit_count(), p.rank_defect(b))
+    for b, internal, external in valid_sets_with_activities(p.quotient, p.matroid):
+        key = (internal.bit_count(), external.bit_count(), full - b.bit_count())
         terms[key] = terms.get(key, 0) + 1
     return Poly(terms)
 
 
 def tutte_compatible(p: Perspective) -> Poly:
     """Sum of x^r(M'/X) y^r*(M|X) z^defect over the compatible family."""
-    rq = p.quotient.rank()
+    rm, rq = p.matroid.ranks, p.quotient.ranks
+    full_m, full_q = p.matroid.rank(), p.quotient.rank()
     terms = {}
     for x in compatible_family(p):
-        key = (
-            rq - p.quotient.rank(x),
-            x.bit_count() - p.matroid.rank(x),
-            p.rank_defect(x),
-        )
+        key = (full_q - rq[x], x.bit_count() - rm[x], full_m - full_q - rm[x] + rq[x])
         terms[key] = terms.get(key, 0) + 1
     return Poly(terms)
 

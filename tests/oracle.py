@@ -1,13 +1,16 @@
 """Definition-literal oracle for the rank-table fast paths.
 
 These functions answer the same questions as mptutte.activities,
-mptutte.compatible, Matroid.from_circuits and the Perspective check straight
-from the definitions, scanning the circuit families of the matroid and its
-dual.  Those families are derived from the bases without the rank table, so
-the oracle shares no code with the lookups it checks.
+mptutte.compatible, Matroid.from_circuits, its circuit-axiom check, the
+Perspective check and the valid-set enumeration straight from the
+definitions, scanning the circuit families of the matroid and its dual or
+all subsets.  Those families are derived from the bases without the rank
+table, so the oracle shares no code with the lookups it checks.
 """
 
-from mptutte import Matroid, PerspectiveError, bit
+from itertools import combinations
+
+from mptutte import AxiomError, Matroid, PerspectiveError, bit
 
 
 def brute_rank(m: Matroid, x: int) -> int:
@@ -88,3 +91,36 @@ def bases_from_circuits(ground, circs) -> list:
         elif size == best_size:
             best.append(s)
     return best
+
+
+def valid_sets(p) -> list:
+    """Every subset independent in the matroid and spanning in the quotient,
+    by brute-force rank over all 2^n subsets, sorted by size then lex."""
+    full = brute_rank(p.quotient, p.ground.mask)
+    out = [s for s in p.ground.subsets()
+           if brute_rank(p.matroid, s) == s.bit_count() and brute_rank(p.quotient, s) == full]
+    return sorted(out, key=p.ground.size_lex_key)
+
+
+def check_circuit_axioms(ground, circs):
+    """Raise AxiomError at the first violation, scanning the whole family for
+    each elimination (the circuit-axiom check Matroid.from_circuits made
+    before it looked eliminations up in the dependent-set closure)."""
+    fmt = ground.fmt
+    for c in circs:
+        if c == 0:
+            raise AxiomError("the empty set cannot be a circuit")
+    for c1, c2 in combinations(circs, 2):
+        if c1 & ~c2 == 0 or c2 & ~c1 == 0:
+            raise AxiomError(f"circuits must form an antichain; {fmt(c1)} is inside {fmt(c2)}")
+    for c1, c2 in combinations(circs, 2):
+        common = c1 & c2
+        while common:
+            e = common & -common
+            common ^= e
+            union = (c1 | c2) ^ e
+            if not any(c & ~union == 0 for c in circs):
+                raise AxiomError(
+                    "circuit elimination fails: no circuit inside "
+                    f"{fmt(union)} (from {fmt(c1)}, {fmt(c2)} dropping {e.bit_length()})"
+                )

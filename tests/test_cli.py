@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mptutte import ParseError
+from mptutte import ConsistencyError, ParseError, cli
 from mptutte.cli import (
     cmd_check,
     cmd_compatible,
@@ -197,6 +197,19 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     f.write_text(FIXTURE)
     assert main(["check", "--input", str(f)]) == 3
     assert "boom" in capsys.readouterr().out
+
+
+def test_main_maps_consistency_error_to_exit_3(tmp_path, capsys, monkeypatch):
+    # a cross-check that trips is an internal failure: exit 3, one error line
+    def disagree(p):
+        raise ConsistencyError("routes disagree")
+
+    monkeypatch.setitem(cli.METHODS, "compatible", disagree)
+    f = tmp_path / "doc.txt"
+    f.write_text(FIXTURE)
+    assert main(["tutte", "--method", "compatible", "--input", str(f)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: routes disagree\n"
 
 
 def test_main_refuses_oversized_rank_table(tmp_path, capsys):

@@ -3,9 +3,11 @@ import pytest
 from mptutte import (
     DomainError,
     GroundSet,
+    Matroid,
     Perspective,
     PerspectiveError,
     free_matroid,
+    tutte_activities,
     uniform_matroid,
     validate_perspective,
 )
@@ -95,3 +97,27 @@ def test_independent_spanning_sets_fixture():
     assert sets[-1] == e.subset({2, 4, 5})
     sizes = [s.bit_count() for s in sets]
     assert sizes == sorted(sizes)
+
+
+def test_reordered_shares_tables_and_keeps_the_polynomial(corpus):
+    for name, p in corpus:
+        order = tuple(reversed(p.ground.order))
+        q = p.reordered(order)
+        assert q.ground.order == order, name
+        assert q.matroid.ranks is p.matroid.ranks, name
+        assert q.quotient.ranks is p.quotient.ranks, name
+        for carried, m in ((q.matroid, p.matroid), (q.quotient, p.quotient)):
+            assert carried.bases == m.bases, name
+            assert carried.ranks == Matroid(q.ground, m.bases, validate=False).ranks, name
+        assert tutte_activities(q) == tutte_activities(p), name
+
+
+def test_reordered_rejects_orders_that_are_not_permutations():
+    p = fixture_perspective()
+    for order in ([1, 2, 3, 4], [1, 2, 3, 4, 4], [1, 2, 3, 4, 6], [1, 2, 3, 4, 5, 6], ["a"] * 5):
+        with pytest.raises(DomainError, match="not a permutation of the ground set"):
+            p.reordered(order)
+    gapped = Perspective(*(m.restrict(m.ground.subset({2, 4, 5})) for m in fixture_matroids()))
+    with pytest.raises(DomainError):
+        gapped.reordered([1, 2, 3])
+    assert gapped.reordered([5, 2, 4]).ground.order == (5, 2, 4)

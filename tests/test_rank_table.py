@@ -7,11 +7,13 @@ circuit-built tables independently.
 """
 
 import itertools
+import random
 
 import pytest
 
 import oracle
 from mptutte import (
+    AxiomError,
     DomainError,
     GroundSet,
     Matroid,
@@ -43,10 +45,11 @@ def construction_corpus():
     return list(groups.values()) + list(gapped.values())
 
 
-def perspective_outcome(check, m, q):
+def error_text(error, check, *args):
+    """The message of the `error` that check(*args) raises, or None."""
     try:
-        check(m, q)
-    except PerspectiveError as e:
+        check(*args)
+    except error as e:
         return str(e)
     return None
 
@@ -116,8 +119,8 @@ def test_perspective_check_matches_circuit_union_oracle():
     for group in construction_corpus():
         for m, q in itertools.product(group, repeat=2):
             fresh = [Matroid(x.ground, x.bases, validate=False) for x in (m, q)]
-            want = perspective_outcome(oracle.check_perspective, m, q)
-            assert perspective_outcome(Perspective, *fresh) == want, (m, q)
+            want = error_text(PerspectiveError, oracle.check_perspective, m, q)
+            assert error_text(PerspectiveError, Perspective, *fresh) == want, (m, q)
             seen[want is None] += 1
     assert min(seen.values()) > 1000, seen
 
@@ -128,3 +131,35 @@ def test_from_circuits_matches_base_scan_oracle():
             built = Matroid.from_circuits(m.ground, m.circuits)
             assert list(built.bases) == oracle.bases_from_circuits(m.ground, m.circuits), m
             assert built.ranks == Matroid(m.ground, m.bases, validate=False).ranks, m
+
+
+def circuit_families():
+    """(ground, family): every family of subsets of a ground set of <= 3
+    elements, and of {1, 3, 4, 6} (a gap in the masks), seeded random families
+    on 4 to 6 elements and their minimal members, and the circuits of the
+    construction corpus."""
+    gapped = GroundSet.from_order([1, 3, 4, 6])
+    for ground in [GroundSet(n) for n in range(4)] + [gapped]:
+        subsets = list(ground.subsets())
+        for r in range(1 << len(subsets)):
+            yield ground, [s for i, s in enumerate(subsets) if r >> i & 1]
+    rng = random.Random(20261018)
+    for n in (4, 5, 6):
+        ground = GroundSet(n)
+        for _ in range(400):
+            fam = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))}
+            yield ground, list(fam)
+            yield ground, [c for c in fam if not any(d != c and d & ~c == 0 for d in fam)]
+    for group in construction_corpus():
+        for m in group:
+            yield m.ground, list(m.circuits)
+
+
+def test_circuit_axiom_check_matches_family_scan_oracle():
+    seen = {}
+    for ground, fam in circuit_families():
+        want = error_text(AxiomError, oracle.check_circuit_axioms, ground, sorted(set(fam)))
+        assert error_text(AxiomError, Matroid.from_circuits, ground, fam) == want, (ground, fam)
+        kind = want and want.split(":")[0].split(";")[0]
+        seen[kind] = seen.get(kind, 0) + 1
+    assert len(seen) == 4 and min(seen.values()) > 500, seen
