@@ -3,17 +3,17 @@
 Edges carry the matroid element labels (exactly 1..n, each once); loops and
 parallel edges are allowed and matter: a loop is a one-element circuit, a
 parallel pair a two-element circuit.  A cycle matroid is built from its
-spanning forests, found by a union-find with early exit; its circuits are
-derived from them when asked for.
+cycle space, whose fundamental cycles one union-find pass finds.
 Identifying vertices coarsens the cycle structure, and (cycle_matroid(G),
 cycle_matroid(G with identified vertices)) is always a perspective.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, chain
+from operator import xor
 
 from .errors import DomainError
-from .matroid import Matroid, check_table_size
+from .matroid import Matroid, _closure, check_table_size
 from .setcore import GroundSet, bit
 
 
@@ -60,43 +60,47 @@ def components(vertices, pairs) -> tuple:
 
 
 def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
-    """Matroid on the edge labels whose bases are the spanning forests of g.
+    """Matroid on the edge labels whose independent sets are the forests of g.
 
-    With c connected components the rank is r = |V| - c, and an r-edge set
-    is a basis exactly when it is acyclic.  All C(|E|, r) <= 2^|E| such sets
-    are tested by an index union-find that stops at the first edge closing a
-    cycle.  Spanning forests satisfy basis exchange by theorem, so the family
-    is not re-validated.
+    An edge set is dependent iff it contains a nonzero vector of the cycle
+    space over GF(2), each an edge-disjoint union of circuits (Veblen).  A
+    union-find over the edges keeps, per vertex, the edge mask of its path to
+    its parent; an edge whose ends share a root closes the fundamental cycle
+    path(u) ^ path(v) ^ edge.  These span the cycle space, whose nonzero
+    vectors, listed by Gray code, are closed upward; loops, in no other
+    cycle, are closed upward on their own.  Nothing is re-validated.
     """
     m = len(g.edges)
     if ground is None:
         ground = GroundSet(m)
     elif ground.size != m:
         raise DomainError(f"ground set has {ground.size} elements but the graph has {m} edges")
-    check_table_size(ground.mask.bit_length())
+    n = ground.mask.bit_length()
+    check_table_size(n)
     index = {v: k for k, v in enumerate(g.vertices)}
-    ends = [(index[u], index[v]) for _, u, v in g.edges]
-    masks = [bit(l) for l, _, _ in g.edges]
-    roots = list(range(len(index)))
-    r = len(roots) - len(components(roots, ends))
-    candidates = zip(combinations(ends, r), combinations(masks, r))  # in step
-    bases = [sum(edges) for pairs, edges in candidates if _acyclic(roots, pairs)]
-    return Matroid(ground, bases, validate=False)
+    parent = list(range(len(index)))
+    path = [0] * len(index)
 
-
-def _acyclic(roots: list, pairs) -> bool:
-    """True iff the vertex-index pairs form a forest; the union-find starts
-    from a copy of `roots` and stops at the first edge closing a cycle."""
-    parent = roots.copy()
-    for u, v in pairs:
-        while parent[u] != u:
-            u = parent[u]
+    def find(v):
+        to_root = 0
         while parent[v] != v:
+            to_root ^= path[v]
             v = parent[v]
-        if u == v:
-            return False
-        parent[u] = v
-    return True
+        return v, to_root
+
+    cycles, loops = [], []
+    for label, u, v in g.edges:
+        (ru, pu), (rv, pv) = find(index[u]), find(index[v])
+        if u == v:  # a circuit, inside every cycle-space vector that holds it
+            loops.append(bit(label))
+        elif ru == rv:
+            cycles.append(pu ^ pv ^ bit(label))
+        else:
+            parent[ru] = rv
+            path[ru] = pu ^ pv ^ bit(label)
+    # Gray code: the j-th nonzero vector adds the cycle at j's lowest set bit
+    steps = (cycles[(j & -j).bit_length() - 1] for j in range(1, 1 << len(cycles)))
+    return Matroid._from_flags(ground, ~_closure(n, chain(loops, accumulate(steps, xor)), up=True))
 
 
 def identify_vertices(g: Multigraph, classes) -> Multigraph:

@@ -1,28 +1,30 @@
-"""Matroids given by an explicit basis family, queried through a rank table.
+"""Matroids stored as their rank tables, reached from every input by one path.
 
-The basis family is the canonical representation (sorted tuple of bitmasks);
-circuits, the dual, and minors are derived from it.  Construction validates
-the basis-exchange axiom exhaustively, which is O(|bases|^2 * n) and entirely
-fine at the desk scale this package targets.  Internal constructions whose
-correctness is a theorem (duals, minors) skip validation via the ``validate``
-flag.
+A matroid is its ground set and its rank table ``Matroid.ranks``: a
+``bytes`` object holding r(X) at index X, where n is the bit length of the
+ground mask, so every rank question is one lookup.  The bases, circuits,
+dual and minors are read off the table when first asked for.  Positions
+missing from a gapped ground set are loops.
 
-Every rank question (rank, independence, spanning, greedy bases) is one
-lookup in ``Matroid.ranks``: a ``bytes`` table holding r(X) at index X, where
-n is the bit length of the ground mask.  The table takes O(2^n) time and
-5 * 2^n bytes of peak memory.  from_circuits builds it while constructing
-(from the circuits' upward closure) and derives the bases from it; every
-other matroid builds it from the bases on first use.  Tables above
-``MAX_TABLE_ELEMENTS`` positions are refused with a DomainError instead of
-exhausting memory; from_circuits and graphic.cycle_matroid, which enumerate
-up to 2^n sets themselves, refuse such ground sets up front.
+Every input first becomes independence flags, an int with one byte lane per
+subset, 0xFF on the independent ones: the downward closure of the bases, or
+the complement of the upward closure of the circuits or (in
+graphic.cycle_matroid) of the cycle space.  One max-plus zeta transform turns
+the flags into the table.  Closures and transform take one big-int pass per
+element: the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto (FOCS
+2008).  A table takes O(n 2^n) time and about 9 * 2^n bytes of peak memory;
+above ``MAX_TABLE_ELEMENTS`` positions it is refused with a DomainError, up
+front for circuits and graphs, and for bases (validated first) when needed.
 
-Loops and coloops are ordinary citizens: a rank-0 matroid is
+Bases are checked for basis exchange, O(|bases|^2 * n), and circuits for the
+circuit axioms; duals, minors and graphs are matroids by theorem.  Loops and
+coloops are ordinary citizens: a rank-0 matroid is
 ``Matroid.from_bases(ground, [0])``, and from_circuits accepts singleton
 circuits.
 """
 
-from array import array
+import re
+from copy import copy
 from itertools import combinations
 
 from .errors import AxiomError, DomainError
@@ -32,69 +34,59 @@ MAX_TABLE_ELEMENTS = 24
 
 
 class Matroid:
-    """A matroid on a :class:`GroundSet`, stored by its bases and queried
-    through its rank table."""
+    """A matroid on a :class:`GroundSet`, stored as its rank table."""
 
-    __slots__ = ("ground", "bases", "_bases_set", "_circuits", "_dual", "_ranks")
+    __slots__ = ("ground", "_ranks", "_bases", "_circuits", "_dual")
 
     def __init__(self, ground: GroundSet, bases, validate: bool = True):
-        seen = set()
-        for b in bases:
-            ground.check_subset(b)
-            seen.add(b)
-        if not seen:
+        bases = tuple(sorted({ground.check_subset(b) for b in bases}))
+        if not bases:
             raise AxiomError("a matroid needs at least one basis")
-        self.ground = ground
-        self.bases = tuple(sorted(seen))
-        self._bases_set = frozenset(seen)
-        self._circuits = None
-        self._dual = None
-        self._ranks = None
         if validate:
-            self._check_exchange()
+            _check_exchange(ground, bases)
+        self.ground, self._bases = ground, bases
+        self._ranks = self._circuits = self._dual = None  # the table is built on first use
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_bases(cls, ground: GroundSet, bases, validate: bool = True) -> "Matroid":
+    def from_bases(cls, ground: GroundSet, bases) -> "Matroid":
         """Matroid from an explicit basis family; checks the exchange axiom."""
-        return cls(ground, bases, validate=validate)
+        return cls(ground, bases)
 
     @classmethod
     def from_circuits(cls, ground: GroundSet, circuits, validate: bool = True) -> "Matroid":
-        """Matroid from its circuit family.
-
-        The circuits' upward closure is the family of dependent sets; the
-        validation checks that the family is an antichain satisfying circuit
-        elimination, each elimination by one lookup in that closure.  The
-        independent sets are its complement; one greedy pass gives the rank
-        table, which is kept, and the bases are the r(E)-sets whose rank is
-        their size.  An empty family gives the free matroid.  Ground sets too
-        large for a rank table are refused before anything is enumerated.
-        """
+        """Matroid from its circuit family, whose upward closure is the family
+        of dependent sets; the validation looks up each circuit elimination
+        there.  An empty family gives the free matroid.  Ground sets too large
+        for a rank table are refused first."""
         n = ground.mask.bit_length()
         check_table_size(n)
         circs = sorted({ground.check_subset(c) for c in circuits})
-        # positions outside the ground set are loops, as in _rank_table
-        loops = [1 << i for i in range(n) if not ground.mask >> i & 1]
-        dependent = _closure(n, circs + loops, up=True)
+        dependent = _closure(n, circs, up=True)
         if validate:
-            flags = dependent.to_bytes(max((1 << n) >> 3, 1), "little")
-            _check_circuit_axioms(ground, circs, flags)
-        ranks = _greedy_ranks(n, dependent ^ ((1 << (1 << n)) - 1))
-        r = ranks[ground.mask]
-        bases = [s for s in map(sum, combinations(map(bit, ground.order), r)) if ranks[s] == r]
-        m = cls(ground, bases, validate=False)
+            _check_circuit_axioms(ground, circs, dependent.to_bytes(1 << n, "little"))
+        m = cls._from_flags(ground, ~dependent)
         m._circuits = tuple(circs)
-        m._ranks = ranks
+        return m
+
+    @classmethod
+    def _from_flags(cls, ground: GroundSet, independent: int) -> "Matroid":
+        """The matroid whose independent sets are the subsets of the ground
+        set flagged in `independent`; not validated."""
+        n = ground.mask.bit_length()
+        if ground.mask + 1 != 1 << n:  # a gapped ground set
+            independent &= _closure(n, [ground.mask], up=False)
+        m = cls.__new__(cls)
+        m.ground, m._ranks = ground, _rank_table(n, independent)
+        m._bases = m._circuits = m._dual = None
         return m
 
     def reordered(self, ground: GroundSet) -> "Matroid":
-        """The same matroid under another order of its ground set.  Bases,
-        circuits and the rank table are indexed by mask, so all carry over."""
-        m = Matroid(ground, self.bases, validate=False)
-        m._circuits = self._circuits
-        m._ranks = self.ranks
+        """The same matroid under another order of its ground set.  The rank
+        table, bases and circuits are indexed by mask, so all carry over."""
+        m = copy(self)
+        m.ground, m._ranks, m._dual = ground, self.ranks, None
         return m
 
     # -- basic oracles -----------------------------------------------------
@@ -105,15 +97,17 @@ class Matroid:
 
     @property
     def ranks(self) -> bytes:
-        """r(X) at index X for every subset X; built on first use, then cached."""
+        """r(X) at index X for every subset X."""
         if self._ranks is None:
-            self._ranks = _rank_table(self.ground.mask.bit_length(), self.bases)
+            n = self.ground.mask.bit_length()
+            check_table_size(n)
+            self._ranks = _rank_table(n, _closure(n, self._bases, up=False))
         return self._ranks
 
     def rank(self, x: int | None = None) -> int:
         """Rank of a subset (of the whole ground set when omitted)."""
         if x is None:
-            return self.bases[0].bit_count()
+            return self.ranks[self.ground.mask]
         self.ground.check_subset(x)
         return self.ranks[x]
 
@@ -128,59 +122,51 @@ class Matroid:
     # -- derived structure -------------------------------------------------
 
     @property
-    def circuits(self) -> tuple:
-        """All circuits, sorted by mask value.  Computed once and cached.
+    def bases(self) -> tuple:
+        """All bases, the independent sets of rank r(E), sorted by mask value."""
+        if self._bases is None:
+            bases = self._independent() & _lanes_equal(self.ranks, self.rank())
+            self._bases = _members(bases, len(self.ranks))
+        return self._bases
 
-        Every circuit C is the unique circuit of B + e for any basis B
-        extending C - e with e = some element of C, so collecting fundamental
-        circuits {e} | {f in B : B - f + e is a basis} over all pairs
-        (basis, e outside) yields the full family.
-        """
+    @property
+    def circuits(self) -> tuple:
+        """All circuits, sorted by mask value: the dependent S with no
+        dependent S - i, found by one shift pass over the flags.  Cached."""
         if self._circuits is None:
-            found = set()
-            ground_mask = self.ground.mask
-            in_bases = self._bases_set
-            for b in self.bases:
-                outside = ground_mask & ~b
-                while outside:
-                    low = outside & -outside
-                    outside ^= low
-                    circ = low
-                    rest = b
-                    while rest:
-                        f = rest & -rest
-                        rest ^= f
-                        if (b ^ f) | low in in_bases:
-                            circ |= f
-                    found.add(circ)
-            self._circuits = tuple(sorted(found))
+            n = self.ground.mask.bit_length()
+            dependent = ~self._independent() & ((1 << (8 << n)) - 1)
+            minimal = dependent
+            for i in range(n):
+                minimal &= ~((dependent & lanes_without(1 << n, 1 << i, b"\xff")) << (8 << i))
+            # leave out the loops at positions missing from the ground set
+            self._circuits = tuple(c for c in _members(minimal, 1 << n) if c & ~self.ground.mask == 0)
         return self._circuits
 
     def dual(self) -> "Matroid":
-        """The dual matroid: bases are the complements of bases.  Cached."""
+        """The dual matroid: X is independent iff E \\ X spans.  Cached."""
         if self._dual is None:
-            full = self.ground.mask
-            d = Matroid(self.ground, [full ^ b for b in self.bases], validate=False)
-            d._dual = self
-            self._dual = d
+            # index S of the reversed table holds the rank of E - S
+            spanned = _lanes_equal(self.ranks[::-1], self.rank())
+            self._dual = Matroid._from_flags(self.ground, spanned)
+            self._dual._dual = self
         return self._dual
 
     def restrict(self, x: int) -> "Matroid":
         """M|X on ground set X, original labels and order."""
         self.ground.check_subset(x)
-        sub = GroundSet.from_order(e for e in self.ground.order if bit(e) & x)
-        r = self.rank(x)
-        return Matroid(sub, {b & x for b in self.bases if (b & x).bit_count() == r},
-                       validate=False)
+        return self._minor(x, self._independent())
 
     def contract(self, x: int) -> "Matroid":
-        """M/X on ground set E \\ X, original labels and order."""
+        """M/X on ground set E \\ X, original labels and order: S is
+        independent iff S + B is independent in M for a basis B of X."""
         self.ground.check_subset(x)
-        keep = self.ground.mask ^ x
+        b = self._max_independent_within(x)
+        return self._minor(self.ground.mask ^ x, self._independent() >> 8 * b)
+
+    def _minor(self, keep: int, independent: int) -> "Matroid":
         sub = GroundSet.from_order(e for e in self.ground.order if bit(e) & keep)
-        bx = self._max_independent_within(x)
-        return Matroid(sub, {b & keep for b in self.bases if b & bx == bx},
-                       validate=False)
+        return Matroid._from_flags(sub, independent)
 
     def min_basis(self) -> int:
         """Lexicographically least basis under the ground order, greedily.
@@ -201,59 +187,29 @@ class Matroid:
                 kept |= b
         return kept
 
+    def _independent(self) -> int:
+        """The independence flags: lane S is 0xFF where r(S) = |S|."""
+        size = len(self.ranks)
+        slack = int.from_bytes(_sizes(size), "little") - int.from_bytes(self.ranks, "little")
+        return _lanes_equal(slack.to_bytes(size, "little"), 0)
+
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matroid)
-            and self.ground == other.ground
-            and self._bases_set == other._bases_set
-        )
+        return (isinstance(other, Matroid)
+                and (self.ground, self.ranks) == (other.ground, other.ranks))
 
     def __hash__(self):
-        return hash((self.ground, self._bases_set))
+        return hash((self.ground, self.ranks))
 
     def __repr__(self):
         shown = ", ".join(self.ground.fmt(b) for b in self.bases[:4])
         more = "" if len(self.bases) <= 4 else f", ... ({len(self.bases)} bases)"
         return f"Matroid(rank {self.rank()} on {self.ground.fmt(self.ground.mask)}; bases {shown}{more})"
 
-    def _check_exchange(self):
-        fmt = self.ground.fmt
-        sizes = {b.bit_count() for b in self.bases}
-        if len(sizes) > 1:
-            small = min(self.bases, key=int.bit_count)
-            big = max(self.bases, key=int.bit_count)
-            raise AxiomError(
-                f"bases must share one cardinality; {fmt(small)} and {fmt(big)} differ"
-            )
-        for b1 in self.bases:
-            for b2 in self.bases:
-                only1 = b1 & ~b2
-                rest = only1
-                while rest:
-                    e = rest & -rest
-                    rest ^= e
-                    swap_in = b2 & ~b1
-                    ok = False
-                    while swap_in:
-                        f = swap_in & -swap_in
-                        swap_in ^= f
-                        if (b1 ^ e) | f in self._bases_set:
-                            ok = True
-                            break
-                    if not ok:
-                        raise AxiomError(
-                            "basis exchange fails: no replacement for element "
-                            f"{e.bit_length()} of {fmt(b1)} against {fmt(b2)}"
-                        )
-
 
 def check_table_size(n: int):
-    """Raise DomainError if a rank table over n positions exceeds the limit.
-
-    Callers that enumerate 2^n sets themselves call it before they start.
-    """
+    """Raise DomainError if a rank table over n positions exceeds the limit."""
     if n > MAX_TABLE_ELEMENTS:
         size = 1 << n
         raise DomainError(
@@ -262,65 +218,98 @@ def check_table_size(n: int):
         )
 
 
-def _rank_table(n: int, bases) -> bytes:
-    """Ranks of all 2^n masks, from the bases, whose downward closure is the
-    family of independent sets.  Elements absent from the ground set lie in no
-    basis, so their masks simply repeat the ranks of the ground part."""
-    check_table_size(n)
-    return _greedy_ranks(n, _closure(n, bases, up=False))
+def lanes_without(size: int, h: int, fill: bytes) -> int:
+    """`size` byte lanes, lane S holding `fill` when S & h == 0 and 0 otherwise."""
+    return int.from_bytes((fill * h + bytes(h)) * (size // (2 * h)), "little")
 
 
 def _closure(n: int, members, up: bool) -> int:
-    """The 2^n-bit int with bit S set for each S in the downward (or, when
-    `up`, upward) closure of the masks `members`: one shift/OR pass per
-    element, the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto
-    (FOCS 2008)."""
-    nbytes = max((1 << n) >> 3, 1)
-    flags = bytearray(nbytes)
+    """Byte lanes, 0xFF at each S in the downward (or, when `up`, upward)
+    closure of the masks `members`, 2^n lanes: one shift/OR pass per
+    element."""
+    lanes = bytearray(1 << n)
     for s in members:
-        flags[s >> 3] |= 1 << (s & 7)
-    family = int.from_bytes(flags, "little")
+        lanes[s] = 0xFF
+    family = int.from_bytes(lanes, "little")
     for i in range(n):
-        # bit S of `without` is set when element i is not in S
-        run = 1 << i >> 3
-        pattern = b"\xff" * run + bytes(run) if run else bytes([(0x55, 0x33, 0x0F)[i]])
-        without = int.from_bytes(pattern * (nbytes // len(pattern)), "little")
+        without = lanes_without(1 << n, 1 << i, b"\xff")
         if up:
-            family |= (family << (1 << i)) & (without << (1 << i))
+            family |= (family & without) << (8 << i)
         else:
-            family |= (family >> (1 << i)) & without
+            family |= (family >> (8 << i)) & without
     return family
 
 
-def _greedy_ranks(n: int, independent: int) -> bytes:
-    """Ranks of all 2^n masks from the independence flags (bit S set when S is
-    independent), by one greedy pass in increasing mask order: with h the
-    highest element of S, a basis J(S) of S is J(S - h) + h when that set is
-    independent and J(S - h) otherwise, and r(S) = |J(S)|."""
+def _rank_table(n: int, independent: int) -> bytes:
+    """Ranks of all 2^n masks from the independence flags, by the max-plus
+    zeta transform: f(S) = |S| on independent S and 0 elsewhere, then for
+    each element h, f(S) = max(f(S), f(S - h)) on every S containing h.  Lane
+    S of g = (f & lanes without h) << h lanes is f(S - h) there and 0
+    elsewhere.  Lanes hold 0..24, so lane S of (f | 0x80 lanes) - g is
+    128 + f(S) - g(S) with no borrow between lanes, and its bit 7 says
+    whether f(S) >= g(S); spread to a 0xFF lane mask, it picks the maximum."""
     size = 1 << n
-    flags = independent.to_bytes(max(size >> 3, 1), "little")
-    ranks = bytearray(size)
-    greedy = array("I", [0]) * size
+    f = int.from_bytes(_sizes(size), "little") & independent
+    high = int.from_bytes(b"\x80" * size, "little")
     for i in range(n):
-        h = 1 << i
-        ranks[h:h << 1] = ranks[:h]
-        greedy[h:h << 1] = greedy[:h]
-        for s in range(h):
-            j = greedy[s] | h
-            if flags[j >> 3] >> (j & 7) & 1:
-                greedy[h | s] = j
-                ranks[h | s] += 1
-    return bytes(ranks)
+        g = (f & lanes_without(size, 1 << i, b"\xff")) << (8 << i)
+        ge = (((f | high) - g) & high) >> 7
+        f = g ^ ((f ^ g) & ((ge << 8) - ge))
+    return f.to_bytes(size, "little")
+
+
+def _sizes(size: int) -> bytes:
+    """|S| at index S for each of `size` subsets, by doubling."""
+    sizes = b"\x00"
+    while len(sizes) < size:
+        sizes += sizes.translate(bytes(range(1, 256)) + b"\x00")
+    return sizes
+
+
+def _lanes_equal(table: bytes, value: int) -> int:
+    """Byte lanes, 0xFF at each S where table[S] == value."""
+    return int.from_bytes(table.translate(bytes(value) + b"\xff" + bytes(255 - value)), "little")
+
+
+def _members(lanes: int, size: int) -> tuple:
+    """The indices of the 0xFF lanes among `size` lanes, ascending."""
+    return tuple(m.start() for m in re.finditer(b"\xff", lanes.to_bytes(size, "little")))
+
+
+def _check_exchange(ground: GroundSet, bases: tuple):
+    """Raise AxiomError unless the sorted family `bases` shares one size and
+    satisfies basis exchange, checked on every ordered pair."""
+    fmt = ground.fmt
+    if len({b.bit_count() for b in bases}) > 1:
+        small, big = min(bases, key=int.bit_count), max(bases, key=int.bit_count)
+        raise AxiomError(f"bases must share one cardinality; {fmt(small)} and {fmt(big)} differ")
+    in_bases = frozenset(bases)
+    for b1 in bases:
+        for b2 in bases:
+            rest = b1 & ~b2
+            while rest:
+                e = rest & -rest
+                rest ^= e
+                swap_in = b2 & ~b1
+                while swap_in:
+                    f = swap_in & -swap_in
+                    swap_in ^= f
+                    if (b1 ^ e) | f in in_bases:
+                        break
+                else:
+                    raise AxiomError(
+                        "basis exchange fails: no replacement for element "
+                        f"{e.bit_length()} of {fmt(b1)} against {fmt(b2)}"
+                    )
 
 
 def _check_circuit_axioms(ground: GroundSet, circs, dependent: bytes):
     """Raise AxiomError unless `circs` (sorted masks) is a nonempty-set
-    antichain with circuit elimination.  `dependent` holds bit S for each S
-    containing some member, so "a circuit lies inside U" is one lookup."""
+    antichain with circuit elimination.  `dependent` is nonzero at index S for
+    each S containing some member, so "a circuit lies inside U" is one lookup."""
     fmt = ground.fmt
-    for c in circs:
-        if c == 0:
-            raise AxiomError("the empty set cannot be a circuit")
+    if circs and circs[0] == 0:  # sorted, so the empty set comes first
+        raise AxiomError("the empty set cannot be a circuit")
     for c1, c2 in combinations(circs, 2):
         if c1 & ~c2 == 0 or c2 & ~c1 == 0:
             raise AxiomError(f"circuits must form an antichain; {fmt(c1)} is inside {fmt(c2)}")
@@ -330,7 +319,7 @@ def _check_circuit_axioms(ground: GroundSet, circs, dependent: bytes):
             e = common & -common
             common ^= e
             union = (c1 | c2) ^ e
-            if not dependent[union >> 3] >> (union & 7) & 1:
+            if not dependent[union]:
                 raise AxiomError(
                     "circuit elimination fails: no circuit inside "
                     f"{fmt(union)} (from {fmt(c1)}, {fmt(c2)} dropping {e.bit_length()})"

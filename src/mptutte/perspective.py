@@ -14,13 +14,14 @@ r_M'(C - e) = r_M'(C).  So a failing pair is reported by the first circuit of
 M, in mask order, with an e where r_M'(C - e) < r_M'(C): the circuit that the
 circuit-union scan names.
 
-Rank tables are indexed by mask, not by the order `<`, so reordered keeps
-both tables when it changes the order.
+Rank tables are indexed by mask, not by the order `<`, and neither form of
+the condition mentions the order, so reordered keeps both tables and the
+validation when it changes the order.
 """
 
 from .activities import valid_sets_with_activities
 from .errors import DomainError, PerspectiveError
-from .matroid import Matroid
+from .matroid import Matroid, lanes_without
 from .setcore import GroundSet, bit
 
 
@@ -74,14 +75,17 @@ class Perspective:
 
     def reordered(self, order) -> "Perspective":
         """The same pair under another order `<` of the ground set.  Rank
-        tables are indexed by mask, not by order, so both carry over; the
-        pair is checked again by the rank-step pass."""
+        tables are indexed by mask, not by order, so both carry over, and the
+        quotient condition does not mention the order, so the pair is not
+        checked again."""
         order = tuple(order)
         if len(order) != self.ground.size or set(order) != set(self.ground.order):
             raise DomainError(f"order {order!r} is not a permutation of the ground set "
                               f"{self.ground.fmt(self.ground.mask)}")
         ground = GroundSet.from_order(order)
-        return Perspective(self.matroid.reordered(ground), self.quotient.reordered(ground))
+        p = Perspective.__new__(Perspective)
+        p.matroid, p.quotient = self.matroid.reordered(ground), self.quotient.reordered(ground)
+        return p
 
     def independent_spanning_sets(self) -> list:
         """All sets independent in `matroid` and spanning in `quotient`,
@@ -116,7 +120,6 @@ def _rank_steps_dominate(matroid: Matroid, quotient: Matroid) -> bool:
     lanes = int.from_bytes(matroid.ranks, "little") + bias - int.from_bytes(quotient.ranks, "little")
     for e in matroid.ground.order:
         h = bit(e)
-        check = int.from_bytes((b"\x40" * h + bytes(h)) * (size // (2 * h)), "little")
-        if check & ~((lanes >> (8 * h)) - lanes + bias):
+        if lanes_without(size, h, b"\x40") & ~((lanes >> (8 * h)) - lanes + bias):
             return False
     return True

@@ -150,10 +150,13 @@ class GroundSet:
         """
         return tuple(sorted(self._pos[e] for e in self.labels(x)))
 
-    def size_lex_key(self, x: int) -> tuple:
-        """Sort key giving ascending size, then lexicographic order."""
-        k = self.lex_key(x)
-        return (len(k), k)
+    def size_lex_key(self, x: int) -> int:
+        """Sort key giving ascending size, then lexicographic order: |X|, then
+        one bit per element in `<` order, set when the element is not in X."""
+        key = x.bit_count()
+        for e in self.order:
+            key = (key << 1) | (not x >> (e - 1) & 1)
+        return key
 
     def subsets(self):
         """All submasks of the ground set, in increasing numeric order."""

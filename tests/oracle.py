@@ -4,10 +4,14 @@ These functions answer the same questions as mptutte.activities,
 mptutte.compatible, Matroid.from_circuits, its circuit-axiom check, the
 Perspective check and the valid-set enumeration straight from the
 definitions, scanning the circuit families of the matroid and its dual or
-all subsets.  Those families are derived from the bases without the rank
-table, so the oracle shares no code with the lookups it checks.
+all subsets.  A matroid's bases and circuits are read off its rank table, so
+the scans that built the table and the families before it are kept here too
+(greedy_ranks, circuits_from_bases, graph_bases): test_construction checks
+the table, the bases and the circuits against them, and the oracle's other
+scans then share no code with the lookups they check.
 """
 
+from array import array
 from itertools import combinations
 
 from mptutte import AxiomError, Matroid, PerspectiveError, bit
@@ -124,3 +128,109 @@ def check_circuit_axioms(ground, circs):
                     "circuit elimination fails: no circuit inside "
                     f"{fmt(union)} (from {fmt(c1)}, {fmt(c2)} dropping {e.bit_length()})"
                 )
+
+
+def independent_flags(n: int, bases) -> int:
+    """The 2^n-bit int with bit S set for every subset S of some basis."""
+    flags = bytearray(max((1 << n) >> 3, 1))
+    for b in bases:
+        s = b
+        while True:
+            flags[s >> 3] |= 1 << (s & 7)
+            if s == 0:
+                break
+            s = (s - 1) & b
+    return int.from_bytes(flags, "little")
+
+
+def greedy_ranks(n: int, independent: int) -> bytes:
+    """Ranks of all 2^n masks from the independence flags (bit S set when S is
+    independent), by one greedy pass in increasing mask order: with h the
+    highest element of S, a basis J(S) of S is J(S - h) + h when that set is
+    independent and J(S - h) otherwise, and r(S) = |J(S)|."""
+    size = 1 << n
+    flags = independent.to_bytes(max(size >> 3, 1), "little")
+    ranks = bytearray(size)
+    greedy = array("I", [0]) * size
+    for i in range(n):
+        h = 1 << i
+        ranks[h:h << 1] = ranks[:h]
+        greedy[h:h << 1] = greedy[:h]
+        for s in range(h):
+            j = greedy[s] | h
+            if flags[j >> 3] >> (j & 7) & 1:
+                greedy[h | s] = j
+                ranks[h | s] += 1
+    return bytes(ranks)
+
+
+def circuits_from_bases(ground, bases) -> tuple:
+    """All circuits, sorted by mask value, from the basis family.
+
+    Every circuit C is the unique circuit of B + e for any basis B
+    extending C - e with e = some element of C, so collecting fundamental
+    circuits {e} | {f in B : B - f + e is a basis} over all pairs
+    (basis, e outside) yields the full family.
+    """
+    found = set()
+    ground_mask = ground.mask
+    in_bases = frozenset(bases)
+    for b in bases:
+        outside = ground_mask & ~b
+        while outside:
+            low = outside & -outside
+            outside ^= low
+            circ = low
+            rest = b
+            while rest:
+                f = rest & -rest
+                rest ^= f
+                if (b ^ f) | low in in_bases:
+                    circ |= f
+            found.add(circ)
+    return tuple(sorted(found))
+
+
+def graph_bases(g) -> list:
+    """The spanning forests of a Multigraph as edge masks, in candidate order.
+
+    With c connected components the rank is r = |V| - c, and an r-edge set
+    is a basis exactly when it is acyclic.  All C(|E|, r) such sets are
+    tested by an index union-find that stops at the first edge closing a
+    cycle.
+    """
+    index = {v: k for k, v in enumerate(g.vertices)}
+    ends = [(index[u], index[v]) for _, u, v in g.edges]
+    masks = [bit(l) for l, _, _ in g.edges]
+    roots = list(range(len(index)))
+    r = len(roots) - len(_components(roots, ends))
+    candidates = zip(combinations(ends, r), combinations(masks, r))  # in step
+    return [sum(edges) for pairs, edges in candidates if _acyclic(roots, pairs)]
+
+
+def _components(vertices, pairs) -> set:
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    return {find(v) for v in vertices}
+
+
+def _acyclic(roots: list, pairs) -> bool:
+    """True iff the vertex-index pairs form a forest; the union-find starts
+    from a copy of `roots` and stops at the first edge closing a cycle."""
+    parent = roots.copy()
+    for u, v in pairs:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
+            return False
+        parent[u] = v
+    return True

@@ -63,7 +63,7 @@ def identify_v0_v3(g):
 
 def test_forest_circuits_match_cycle_scan_on_small_graphs():
     # the corpus scan finds simple cycles by degrees and connectivity and
-    # shares no code with the forest builder
+    # shares no code with the cycle-space builder
     seen = 0
     for m in range(6):
         for fam, g in slot_canonical_graphs(m).items():

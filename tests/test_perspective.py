@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mptutte import (
@@ -11,6 +13,7 @@ from mptutte import (
     uniform_matroid,
     validate_perspective,
 )
+import oracle
 from corpus import fixture_matroids, fixture_perspective
 
 
@@ -110,6 +113,22 @@ def test_reordered_shares_tables_and_keeps_the_polynomial(corpus):
             assert carried.bases == m.bases, name
             assert carried.ranks == Matroid(q.ground, m.bases, validate=False).ranks, name
         assert tutte_activities(q) == tutte_activities(p), name
+
+
+def test_reordered_pairs_are_perspectives_without_a_second_check(corpus):
+    fixture = fixture_perspective()
+    reorders = [(name, fixture, p.ground.order) for name, p in corpus if name.startswith("fixture-order")]
+    assert len(reorders) == 10
+    rng = random.Random(20261018)
+    reorders += [(name, p, rng.sample(p.ground.order, p.ground.size)) for name, p in corpus]
+    for name, p, order in reorders:
+        q = p.reordered(order)
+        oracle.check_perspective(q.matroid, q.quotient)
+        assert q.matroid.ranks is p.matroid.ranks and q.quotient.ranks is p.quotient.ranks, name
+        ground = GroundSet.from_order(order)
+        fresh = Perspective(Matroid(ground, p.matroid.bases, validate=False),
+                            Matroid(ground, p.quotient.bases, validate=False))
+        assert tutte_activities(q) == tutte_activities(fresh), name
 
 
 def test_reordered_rejects_orders_that_are_not_permutations():

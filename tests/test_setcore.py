@@ -97,6 +97,24 @@ def test_size_lex_key_sorting():
     assert sizes == sorted(sizes)
 
 
+def test_size_lex_key_orders_like_sorted_positions():
+    # the literal key: size, then the members' order positions, ascending
+    def literal(g, x):
+        positions = sorted(g.order.index(e) for e in g.labels(x))
+        return (len(positions), positions)
+
+    rng = random.Random(20261018)
+    grounds = [GroundSet(n, order=rng.sample(range(1, n + 1), n)) for n in range(9) for _ in range(3)]
+    grounds += [GroundSet(n) for n in range(9)]
+    grounds += [GroundSet.from_order(rng.sample([2, 5, 7, 11, 12, 17, 26, 30], k)) for k in range(1, 9)]
+    for g in grounds:
+        subsets = list(g.subsets())
+        rng.shuffle(subsets)
+        assert sorted(subsets, key=g.size_lex_key) == sorted(subsets, key=lambda x: literal(g, x)), g
+        keys = {g.size_lex_key(x) for x in subsets}
+        assert len(keys) == len(subsets) and all(isinstance(k, int) for k in keys), g
+
+
 def test_subsets_enumeration():
     e = GroundSet(4)
     subs = list(e.subsets())
