@@ -35,9 +35,9 @@ class BijectionRow:
     monomial: tuple
 
 
-def forward(p: Perspective, b: int, check: bool = True) -> int:
+def forward(p: Perspective, b: int) -> int:
     """X = B \\ Int_{quotient}(B) ∪ Ext_{matroid}(B)."""
-    if check and not (p.matroid.is_independent(b) and p.quotient.is_spanning(b)):
+    if not (p.matroid.is_independent(b) and p.quotient.is_spanning(b)):
         raise DomainError(
             f"{p.ground.fmt(b)} is not independent-in-matroid and spanning-in-quotient"
         )
@@ -45,7 +45,7 @@ def forward(p: Perspective, b: int, check: bool = True) -> int:
     return (b & ~internal) | external
 
 
-def backward(p: Perspective, x: int, check: bool = True) -> int:
+def backward(p: Perspective, x: int) -> int:
     """B = X \\ min_basis((M|X)*) ∪ min_basis(M'/X).
 
     Scanning E in `<` order, e in X joins the dual basis while X minus the
@@ -53,7 +53,7 @@ def backward(p: Perspective, x: int, check: bool = True) -> int:
     while it raises the M'-rank of X plus what was kept.
     """
     p.ground.check_subset(x)
-    if check and not in_family(p, x):
+    if not in_family(p, x):
         raise DomainError(f"{p.ground.fmt(x)} is not in the compatible family")
     rm, rq = p.matroid.ranks, p.quotient.ranks
     target = rm[x]

@@ -13,7 +13,7 @@ from itertools import accumulate, chain
 from operator import xor
 
 from .errors import DomainError
-from .matroid import Matroid, _closure, check_table_size
+from .matroid import Matroid, _closure, _rank_table
 from .setcore import GroundSet, bit
 
 
@@ -76,7 +76,6 @@ def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
     elif ground.size != m:
         raise DomainError(f"ground set has {ground.size} elements but the graph has {m} edges")
     n = ground.mask.bit_length()
-    check_table_size(n)
     index = {v: k for k, v in enumerate(g.vertices)}
     parent = list(range(len(index)))
     path = [0] * len(index)
@@ -100,7 +99,8 @@ def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
             path[ru] = pu ^ pv ^ bit(label)
     # Gray code: the j-th nonzero vector adds the cycle at j's lowest set bit
     steps = (cycles[(j & -j).bit_length() - 1] for j in range(1, 1 << len(cycles)))
-    return Matroid._from_flags(ground, ~_closure(n, chain(loops, accumulate(steps, xor)), up=True))
+    dependent = _closure(n, chain(loops, accumulate(steps, xor)), up=True)
+    return Matroid._from_table(ground, _rank_table(n, ~dependent))
 
 
 def identify_vertices(g: Multigraph, classes) -> Multigraph:

@@ -1,20 +1,22 @@
-"""Matroids stored as their rank tables, reached from every input by one path.
+"""Matroids stored as their rank tables, built once at construction.
 
 A matroid is its ground set and its rank table ``Matroid.ranks``: a
 ``bytes`` object holding r(X) at index X, where n is the bit length of the
-ground mask, so every rank question is one lookup.  The bases, circuits,
-dual and minors are read off the table when first asked for.  Positions
-missing from a gapped ground set are loops.
+ground mask, so every rank question is one lookup.  Positions missing from a
+gapped ground set are loops.  The bases and circuits are read off the table
+when first asked for; minors and duals are new tables computed from it by
+index arithmetic (Oxley, Matroid Theory, 2.1 and 3.1):
+r_{M|X}(S) = r(S), r_{M/X}(S) = r(S + X) - r(X) and
+r*(S) = |S| - r(E) + r(E - S).
 
-Every input first becomes independence flags, an int with one byte lane per
-subset, 0xFF on the independent ones: the downward closure of the bases, or
-the complement of the upward closure of the circuits or (in
-graphic.cycle_matroid) of the cycle space.  One max-plus zeta transform turns
+Bases, circuits and graphs (graphic.cycle_matroid) first become independence
+flags, an int with one byte lane per subset, 0xFF on the independent ones:
+the downward closure of the bases, or the complement of the upward closure
+of the circuits or of the cycle space.  One max-plus zeta transform turns
 the flags into the table.  Closures and transform take one big-int pass per
 element: the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto (FOCS
 2008).  A table takes O(n 2^n) time and about 9 * 2^n bytes of peak memory;
-above ``MAX_TABLE_ELEMENTS`` positions it is refused with a DomainError, up
-front for circuits and graphs, and for bases (validated first) when needed.
+GroundSet keeps n at most 24.
 
 Bases are checked for basis exchange, O(|bases|^2 * n), and circuits for the
 circuit axioms; duals, minors and graphs are matroids by theorem.  Loops and
@@ -30,13 +32,11 @@ from itertools import combinations
 from .errors import AxiomError, DomainError
 from .setcore import GroundSet, bit
 
-MAX_TABLE_ELEMENTS = 24
-
 
 class Matroid:
     """A matroid on a :class:`GroundSet`, stored as its rank table."""
 
-    __slots__ = ("ground", "_ranks", "_bases", "_circuits", "_dual")
+    __slots__ = ("ground", "ranks", "_bases", "_circuits", "_dual")
 
     def __init__(self, ground: GroundSet, bases, validate: bool = True):
         bases = tuple(sorted({ground.check_subset(b) for b in bases}))
@@ -44,8 +44,9 @@ class Matroid:
             raise AxiomError("a matroid needs at least one basis")
         if validate:
             _check_exchange(ground, bases)
-        self.ground, self._bases = ground, bases
-        self._ranks = self._circuits = self._dual = None  # the table is built on first use
+        n = ground.mask.bit_length()
+        self.ground, self.ranks = ground, _rank_table(n, _closure(n, bases, up=False))
+        self._bases, self._circuits, self._dual = bases, None, None
 
     # -- construction ------------------------------------------------------
 
@@ -55,30 +56,35 @@ class Matroid:
         return cls(ground, bases)
 
     @classmethod
-    def from_circuits(cls, ground: GroundSet, circuits, validate: bool = True) -> "Matroid":
+    def from_circuits(cls, ground: GroundSet, circuits) -> "Matroid":
         """Matroid from its circuit family, whose upward closure is the family
         of dependent sets; the validation looks up each circuit elimination
-        there.  An empty family gives the free matroid.  Ground sets too large
-        for a rank table are refused first."""
+        there.  An empty family gives the free matroid."""
         n = ground.mask.bit_length()
-        check_table_size(n)
         circs = sorted({ground.check_subset(c) for c in circuits})
         dependent = _closure(n, circs, up=True)
-        if validate:
-            _check_circuit_axioms(ground, circs, dependent.to_bytes(1 << n, "little"))
-        m = cls._from_flags(ground, ~dependent)
+        _check_circuit_axioms(ground, circs, dependent.to_bytes(1 << n, "little"))
+        m = cls._from_table(ground, _rank_table(n, ~dependent))
         m._circuits = tuple(circs)
         return m
 
     @classmethod
-    def _from_flags(cls, ground: GroundSet, independent: int) -> "Matroid":
-        """The matroid whose independent sets are the subsets of the ground
-        set flagged in `independent`; not validated."""
-        n = ground.mask.bit_length()
-        if ground.mask + 1 != 1 << n:  # a gapped ground set
-            independent &= _closure(n, [ground.mask], up=False)
+    def _from_table(cls, ground: GroundSet, table: bytes) -> "Matroid":
+        """The matroid whose rank table agrees with `table` on the subsets of
+        the ground set; not validated.  Each position h missing from a gapped
+        ground set is made a loop by one lane pass copying lane S - h to S."""
+        size = 1 << ground.mask.bit_length()
+        gaps = (size - 1) ^ ground.mask
+        if gaps:
+            lanes = int.from_bytes(table[:size], "little")
+            while gaps:
+                h = gaps & -gaps
+                gaps ^= h
+                lanes &= lanes_without(size, h, b"\xff")
+                lanes |= lanes << 8 * h
+            table = lanes.to_bytes(size, "little")
         m = cls.__new__(cls)
-        m.ground, m._ranks = ground, _rank_table(n, independent)
+        m.ground, m.ranks = ground, table[:size]
         m._bases = m._circuits = m._dual = None
         return m
 
@@ -86,7 +92,7 @@ class Matroid:
         """The same matroid under another order of its ground set.  The rank
         table, bases and circuits are indexed by mask, so all carry over."""
         m = copy(self)
-        m.ground, m._ranks, m._dual = ground, self.ranks, None
+        m.ground, m._dual = ground, None
         return m
 
     # -- basic oracles -----------------------------------------------------
@@ -94,15 +100,6 @@ class Matroid:
     @property
     def size(self) -> int:
         return self.ground.size
-
-    @property
-    def ranks(self) -> bytes:
-        """r(X) at index X for every subset X."""
-        if self._ranks is None:
-            n = self.ground.mask.bit_length()
-            check_table_size(n)
-            self._ranks = _rank_table(n, _closure(n, self._bases, up=False))
-        return self._ranks
 
     def rank(self, x: int | None = None) -> int:
         """Rank of a subset (of the whole ground set when omitted)."""
@@ -144,46 +141,47 @@ class Matroid:
         return self._circuits
 
     def dual(self) -> "Matroid":
-        """The dual matroid: X is independent iff E \\ X spans.  Cached."""
+        """The dual matroid, r*(S) = |S| - r(E) + r(E - S).  Index S of the
+        reversed table holds r(E - S), and every lane sum is at least r(E),
+        so one subtraction on the packed lanes borrows from no neighbour.
+        Cached."""
         if self._dual is None:
-            # index S of the reversed table holds the rank of E - S
-            spanned = _lanes_equal(self.ranks[::-1], self.rank())
-            self._dual = Matroid._from_flags(self.ground, spanned)
+            size = len(self.ranks)
+            lanes = (int.from_bytes(_sizes(size), "little")
+                     + int.from_bytes(self.ranks[::-1], "little")
+                     - self.rank() * int.from_bytes(b"\x01" * size, "little"))
+            self._dual = Matroid._from_table(self.ground, lanes.to_bytes(size, "little"))
             self._dual._dual = self
         return self._dual
 
     def restrict(self, x: int) -> "Matroid":
-        """M|X on ground set X, original labels and order."""
+        """M|X on ground set X, original labels and order: r(S) as in M."""
         self.ground.check_subset(x)
-        return self._minor(x, self._independent())
+        return Matroid._from_table(self._minor_ground(x), self.ranks)
 
     def contract(self, x: int) -> "Matroid":
-        """M/X on ground set E \\ X, original labels and order: S is
-        independent iff S + B is independent in M for a basis B of X."""
+        """M/X on ground set E \\ X, original labels and order: index S of the
+        table shifted down by X lanes holds r(S + X), less r(X) lane by lane."""
         self.ground.check_subset(x)
-        b = self._max_independent_within(x)
-        return self._minor(self.ground.mask ^ x, self._independent() >> 8 * b)
+        r = self.ranks[x]
+        less = bytes(range(256 - r, 256)) + bytes(range(256 - r))  # v -> v - r mod 256
+        return Matroid._from_table(self._minor_ground(self.ground.mask ^ x), self.ranks[x:].translate(less))
 
-    def _minor(self, keep: int, independent: int) -> "Matroid":
-        sub = GroundSet.from_order(e for e in self.ground.order if bit(e) & keep)
-        return Matroid._from_flags(sub, independent)
+    def _minor_ground(self, keep: int) -> GroundSet:
+        return GroundSet.from_order(e for e in self.ground.order if bit(e) & keep)
 
     def min_basis(self) -> int:
         """Lexicographically least basis under the ground order, greedily.
 
-        Scanning elements in ``<`` order and keeping those that preserve
-        independence is the classic matroid greedy; tests check it against
-        the brute-force lexicographic minimum.
+        Scanning elements in ``<`` order and keeping those that raise the
+        rank is the classic matroid greedy; tests check it against the
+        brute-force lexicographic minimum.
         """
-        return self._max_independent_within(self.ground.mask)
-
-    def _max_independent_within(self, x: int) -> int:
-        """The greedy (lexicographically least) basis of X."""
         ranks = self.ranks
         kept = 0
         for e in self.ground.order:
             b = bit(e)
-            if b & x and ranks[kept | b] > ranks[kept]:
+            if ranks[kept | b] > ranks[kept]:
                 kept |= b
         return kept
 
@@ -206,16 +204,6 @@ class Matroid:
         shown = ", ".join(self.ground.fmt(b) for b in self.bases[:4])
         more = "" if len(self.bases) <= 4 else f", ... ({len(self.bases)} bases)"
         return f"Matroid(rank {self.rank()} on {self.ground.fmt(self.ground.mask)}; bases {shown}{more})"
-
-
-def check_table_size(n: int):
-    """Raise DomainError if a rank table over n positions exceeds the limit."""
-    if n > MAX_TABLE_ELEMENTS:
-        size = 1 << n
-        raise DomainError(
-            f"rank table over {n} elements needs 2^{n} = {size} entries "
-            f"({5 * size >> 20} MiB while it is built); the limit is {MAX_TABLE_ELEMENTS} elements"
-        )
 
 
 def lanes_without(size: int, h: int, fill: bytes) -> int:

@@ -1,9 +1,9 @@
 """Ordered ground sets and bitmask subsets.
 
 Elements are integer labels; a subset is an int with bit (label-1) set per
-member.  Every set operation is therefore a machine-word bit operation, which
-is what makes the exhaustive enumerations elsewhere in the package practical.
-Ground sets larger than 30 elements are rejected up front: everything
+member, so every set operation is a bit operation on ints.  Labels run up to
+``MAX_ELEMENTS`` = 24, the one size limit of the package: every matroid holds
+a rank table of 2^n bytes for a ground mask of bit length n, and everything
 downstream enumerates exponentially many subsets or bases, so refusing early
 beats thrashing.
 
@@ -14,7 +14,7 @@ operation takes an ad-hoc comparator.
 
 from .errors import DomainError
 
-MAX_ELEMENTS = 30
+MAX_ELEMENTS = 24
 
 
 def bit(label: int) -> int:
@@ -30,16 +30,13 @@ class GroundSet:
     :meth:`from_order` to keep original labels with the inherited order.
     """
 
-    __slots__ = ("order", "mask", "_pos")
+    __slots__ = ("order", "mask")
 
     def __init__(self, n: int, order=None):
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"ground set size must be a nonnegative integer, got {n!r}")
         if n > MAX_ELEMENTS:
-            raise DomainError(
-                f"ground set has {n} elements; the limit is {MAX_ELEMENTS} "
-                "(subsets must fit a machine word and all algorithms enumerate subsets)"
-            )
+            raise DomainError(f"ground set has {n} elements; the limit is {MAX_ELEMENTS}")
         if order is None:
             order = tuple(range(1, n + 1))
         else:
@@ -48,7 +45,6 @@ class GroundSet:
                 raise DomainError(f"order {order!r} is not a permutation of 1..{n}")
         self.order = order
         self.mask = (1 << n) - 1
-        self._pos = {e: i for i, e in enumerate(order)}
 
     @classmethod
     def from_order(cls, order) -> "GroundSet":
@@ -64,7 +60,6 @@ class GroundSet:
         g.mask = 0
         for e in order:
             g.mask |= bit(e)
-        g._pos = {e: i for i, e in enumerate(order)}
         return g
 
     @property
@@ -83,7 +78,7 @@ class GroundSet:
     def check_subset(self, x: int) -> int:
         if x & ~self.mask:
             raise DomainError(
-                f"subset {self.fmt(x & ~self.mask & ((1 << MAX_ELEMENTS) - 1))} "
+                f"subset {self.fmt(x & ~self.mask & ((1 << x.bit_length()) - 1))} "
                 f"contains elements outside the ground set {self.fmt(self.mask)}"
             )
         return x
@@ -124,31 +119,6 @@ class GroundSet:
             if x & bit(e):
                 return e
         raise AssertionError("unreachable")
-
-    def lex_compare(self, a: int, b: int) -> int:
-        """-1, 0 or 1 comparing equal-size subsets lexicographically.
-
-        Sequences sorted by ``<`` first differ at the ``<``-least element of
-        the symmetric difference, so one bit test decides.
-        """
-        self.check_subset(a)
-        self.check_subset(b)
-        if a.bit_count() != b.bit_count():
-            raise DomainError(
-                f"lex_compare needs equal-size subsets, got {self.fmt(a)} and {self.fmt(b)}"
-            )
-        diff = a ^ b
-        if not diff:
-            return 0
-        return -1 if bit(self.min_element(diff)) & a else 1
-
-    def lex_key(self, x: int) -> tuple:
-        """Sort key: ascending order positions of the members.
-
-        Tuples of equal length compare exactly like lex_compare; unequal
-        lengths have no meaning here (sort by size first).
-        """
-        return tuple(sorted(self._pos[e] for e in self.labels(x)))
 
     def size_lex_key(self, x: int) -> int:
         """Sort key giving ascending size, then lexicographic order: |X|, then

@@ -166,7 +166,7 @@ def all_graphic_matroids(max_edges=5):
             for perm in itertools.permutations(range(1, m + 1)):
                 closed.add(_relabel_family(fam, perm, m))
         for fam in sorted(closed, key=sorted):
-            out.append(Matroid.from_circuits(ground, fam, validate=False))
+            out.append(Matroid.from_circuits(ground, fam))
     return out
 
 

@@ -6,9 +6,10 @@ Perspective check and the valid-set enumeration straight from the
 definitions, scanning the circuit families of the matroid and its dual or
 all subsets.  A matroid's bases and circuits are read off its rank table, so
 the scans that built the table and the families before it are kept here too
-(greedy_ranks, circuits_from_bases, graph_bases): test_construction checks
-the table, the bases and the circuits against them, and the oracle's other
-scans then share no code with the lookups they check.
+(greedy_ranks, circuits_from_bases, graph_bases, and the minor and dual
+tables built from independence flags): test_construction checks the tables,
+the bases and the circuits against them, and the oracle's other scans then
+share no code with the lookups they check.
 """
 
 from array import array
@@ -162,6 +163,32 @@ def greedy_ranks(n: int, independent: int) -> bytes:
                 greedy[h | s] = j
                 ranks[h | s] += 1
     return bytes(ranks)
+
+
+def restricted_ranks(m: Matroid, x: int) -> bytes:
+    """The rank table of M|X as it was built before minors were read off
+    M's table: M's independence flags kept on the subsets of X, then the
+    greedy pass."""
+    n = x.bit_length()
+    flags = independent_flags(m.ground.mask.bit_length(), m.bases) & independent_flags(n, [x])
+    return greedy_ranks(n, flags)
+
+
+def contracted_ranks(m: Matroid, x: int) -> bytes:
+    """The rank table of M/X the same way: S is independent iff S + J is, for
+    J a basis of X (a largest intersection of X with a basis of M), so M's
+    flags are shifted down by J and kept on the subsets of E - X."""
+    keep = m.ground.mask ^ x
+    n = keep.bit_length()
+    j = max((b & x for b in m.bases), key=int.bit_count)
+    flags = independent_flags(m.ground.mask.bit_length(), m.bases) >> j
+    return greedy_ranks(n, flags & independent_flags(n, [keep]))
+
+
+def dual_ranks(m: Matroid) -> bytes:
+    """The rank table of M*, whose bases are the complements of M's."""
+    n = m.ground.mask.bit_length()
+    return greedy_ranks(n, independent_flags(n, [m.ground.mask ^ b for b in m.bases]))
 
 
 def circuits_from_bases(ground, bases) -> tuple:

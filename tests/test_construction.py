@@ -1,11 +1,12 @@
-"""The one construction path against the scans it replaced.
+"""The construction paths against the scans they replaced.
 
-Every matroid is built as independence flags turned into a rank table by
-the max-plus zeta transform, and its bases and circuits are read off that
-table.  The greedy rank pass, the basis-pair circuit scan and the spanning
-forest candidate scan that built them before live on unchanged in
-tests/oracle.py; here each table, basis family and circuit family must
-equal theirs.
+Bases, circuits and graphs become independence flags turned into a rank
+table by the max-plus zeta transform; minors and duals are read off the
+parent's table by index arithmetic; bases and circuits are read off the
+table.  The greedy rank pass, the flag-built minors and duals, the
+basis-pair circuit scan and the spanning forest candidate scan that built
+them before live on in tests/oracle.py; here each table, basis family and
+circuit family must equal theirs.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from mptutte import (
     GroundSet,
     Matroid,
     Multigraph,
+    bit,
     cycle_matroid,
     identify_vertices,
     uniform_matroid,
@@ -134,3 +136,52 @@ def test_equality_and_hash_follow_the_basis_family(corpus):
         assert (a == b) == same
         if same:
             assert hash(a) == hash(b)
+
+
+def test_minor_and_dual_tables_match_the_flag_built_oracle(corpus):
+    # every index S, including those holding positions absent from the
+    # minor's ground set, against the oracle table and the rank formulas
+    checked = 0
+    for name, m in corpus_matroids(corpus):
+        e = m.ground.mask
+        if m.ground.size > 5:
+            continue
+        r = [oracle.brute_rank(m, s) for s in range(e + 1)]
+        d = m.dual()
+        assert d.ranks == oracle.dual_ranks(m), name
+        for s in range(len(d.ranks)):
+            assert d.ranks[s] == (s & e).bit_count() - r[e] + r[e & ~s], (name, s)
+        for x in m.ground.subsets():
+            restricted, contracted = m.restrict(x), m.contract(x)
+            assert restricted.ranks == oracle.restricted_ranks(m, x), (name, x)
+            assert contracted.ranks == oracle.contracted_ranks(m, x), (name, x)
+            # with the gapped dual r*_{M|X}(S) = |S & X| - r(X) + r(X - S)
+            for s in range(len(restricted.ranks)):
+                assert restricted.ranks[s] == r[s & x], (name, x, s)
+                assert restricted.dual().ranks[s] == (s & x).bit_count() - r[x] + r[x & ~s], (name, x, s)
+            for s in range(len(contracted.ranks)):
+                assert contracted.ranks[s] == r[(s & e) | x] - r[x], (name, x, s)
+            checked += 1
+    assert checked == 13913, checked
+
+
+def test_chained_minors_on_ladder_12_match_the_rank_formulas():
+    graph = identify_v0_v3(ladder(12))
+    m = cycle_matroid(graph)
+    e = m.ground.mask
+    r = oracle.greedy_ranks(12, oracle.independent_flags(12, oracle.graph_bases(graph)))
+    rng = random.Random(12)
+    for _ in range(6):
+        x = rng.randrange(e + 1) | bit(12)  # the top position stays, so gaps sit below it
+        y = rng.randrange(e + 1) & x & ~bit(12)
+        # (M|X)/Y: r((S & (X - Y)) + Y) - r(Y)
+        chained = m.restrict(x).contract(y)
+        assert chained.ranks == oracle.contracted_ranks(m.restrict(x), y), (x, y)
+        for s in range(len(chained.ranks)):
+            assert chained.ranks[s] == r[(s & x & ~y) | y] - r[y], (x, y, s)
+        # (M/Y)*: |T| - r_{M/Y}(E - Y) + r_{M/Y}(E - Y - T) with T = S - Y
+        dual = m.contract(y).dual()
+        assert dual.ranks == oracle.dual_ranks(m.contract(y)), y
+        for s in range(len(dual.ranks)):
+            t = s & e & ~y
+            assert dual.ranks[s] == t.bit_count() - (r[e] - r[y]) + (r[e & ~t] - r[y]), (y, s)

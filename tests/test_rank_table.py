@@ -23,7 +23,6 @@ from mptutte import (
     compatible_family,
     cycle_matroid,
     externally_active,
-    free_matroid,
     identify_vertices,
     internally_active,
     is_compatible,
@@ -108,8 +107,11 @@ def test_full_table_matches_brute_rank_beyond_the_corpus(which):
 
 
 def test_oversized_rank_table_is_refused():
-    with pytest.raises(DomainError, match=r"25 elements needs 2\^25 = 33554432 entries"):
-        free_matroid(GroundSet(25)).rank(1)
+    # every GroundSet fits a rank table, so no matroid is ever too large
+    with pytest.raises(DomainError, match=r"25 elements; the limit is 24$"):
+        GroundSet(25)
+    with pytest.raises(DomainError, match=r"label 25 outside 1\.\.24$"):
+        GroundSet.from_order([25])
 
 
 def test_perspective_check_matches_circuit_union_oracle():
