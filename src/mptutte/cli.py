@@ -105,15 +105,14 @@ def parse_input(text: str) -> InputDocument:
             if labels is not None:
                 raise ParseError("duplicate 'elements:' line", no)
             tokens = rest.split()
-            if len(tokens) == 1 and tokens[0].isdigit():
-                n = int(tokens[0])
-                labels = tuple(str(i) for i in range(1, n + 1))
-            else:
-                if len(set(tokens)) != len(tokens):
-                    raise ParseError("duplicate element labels", no)
-                labels = tuple(tokens)
-            if len(labels) > MAX_ELEMENTS:
-                raise ParseError(f"{len(labels)} elements exceeds the limit of {MAX_ELEMENTS}", no)
+            count = len(tokens) == 1 and tokens[0].isascii() and tokens[0].isdigit()
+            if not count and len(set(tokens)) != len(tokens):
+                raise ParseError("duplicate element labels", no)
+            # a count stays text until it is known to be small
+            n = (tokens[0].lstrip("0") or "0") if count else str(len(tokens))
+            if len(n) > len(str(MAX_ELEMENTS)) or int(n) > MAX_ELEMENTS:
+                raise ParseError(f"{n} elements exceeds the limit of {MAX_ELEMENTS}", no)
+            labels = tuple(map(str, range(1, int(n) + 1))) if count else tuple(tokens)
             label_index = {lbl: i for i, lbl in enumerate(labels, start=1)}
         elif keyword == "order":
             need_elements(no)
@@ -303,23 +302,24 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
             raise _CheckFailure(f"|D| = {len(family)} but {len(rows)} valid sets")
 
     def intervals():
-        seen = {}
+        covered = bytearray(1 << doc.ground.size)
         for row in rows:
             lower = row.b & ~row.internal
             free = (row.b | row.external) & ~lower
             t = 0
             while True:
                 s = lower | t
-                if s in seen:
+                if covered[s]:
+                    owner = next(r.b for r in rows if not (r.b & ~r.internal & ~s or s & ~(r.b | r.external)))
                     raise _CheckFailure(
                         f"{doc.fmt(s)} lies in the intervals of both "
-                        f"{doc.fmt(seen[s])} and {doc.fmt(row.b)}"
+                        f"{doc.fmt(owner)} and {doc.fmt(row.b)}"
                     )
-                seen[s] = row.b
+                covered[s] = 1
                 if t == free:
                     break
                 t = (t - free) & free
-        missing = (1 << doc.ground.size) - len(seen)
+        missing = covered.count(0)
         if missing:
             raise _CheckFailure(f"{missing} subsets not covered by any interval")
 

@@ -147,7 +147,7 @@ class Matroid:
         Cached."""
         if self._dual is None:
             size = len(self.ranks)
-            lanes = (int.from_bytes(_sizes(size), "little")
+            lanes = (int.from_bytes(subset_sizes(size), "little")
                      + int.from_bytes(self.ranks[::-1], "little")
                      - self.rank() * int.from_bytes(b"\x01" * size, "little"))
             self._dual = Matroid._from_table(self.ground, lanes.to_bytes(size, "little"))
@@ -188,7 +188,7 @@ class Matroid:
     def _independent(self) -> int:
         """The independence flags: lane S is 0xFF where r(S) = |S|."""
         size = len(self.ranks)
-        slack = int.from_bytes(_sizes(size), "little") - int.from_bytes(self.ranks, "little")
+        slack = int.from_bytes(subset_sizes(size), "little") - int.from_bytes(self.ranks, "little")
         return _lanes_equal(slack.to_bytes(size, "little"), 0)
 
     # -- plumbing ----------------------------------------------------------
@@ -237,7 +237,7 @@ def _rank_table(n: int, independent: int) -> bytes:
     128 + f(S) - g(S) with no borrow between lanes, and its bit 7 says
     whether f(S) >= g(S); spread to a 0xFF lane mask, it picks the maximum."""
     size = 1 << n
-    f = int.from_bytes(_sizes(size), "little") & independent
+    f = int.from_bytes(subset_sizes(size), "little") & independent
     high = int.from_bytes(b"\x80" * size, "little")
     for i in range(n):
         g = (f & lanes_without(size, 1 << i, b"\xff")) << (8 << i)
@@ -246,11 +246,11 @@ def _rank_table(n: int, independent: int) -> bytes:
     return f.to_bytes(size, "little")
 
 
-def _sizes(size: int) -> bytes:
-    """|S| at index S for each of `size` subsets, by doubling."""
+def subset_sizes(size: int, mask: int = -1) -> bytes:
+    """|S & mask| at index S for each of `size` subsets, by doubling."""
     sizes = b"\x00"
     while len(sizes) < size:
-        sizes += sizes.translate(bytes(range(1, 256)) + b"\x00")
+        sizes += sizes.translate(bytes(range(1, 256)) + b"\x00") if mask & len(sizes) else sizes
     return sizes
 
 

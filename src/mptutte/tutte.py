@@ -13,7 +13,7 @@ agree coefficient-exactly:
                             cross-validation oracle.
 
 The first two sum over families grown top-down along the ground order, at
-O(n) rank lookups per member; only the oracle visits all 2^n subsets.
+O(n) rank lookups per member; the oracle visits all 2^n subsets in table passes.
 
 The bivariate specializations are the M = M' and quotient-of-rank-0 cases:
 Crapo's activities sum over bases and Kochol's compatible-sets sum are
@@ -21,10 +21,13 @@ tutte_activities and tutte_compatible on (M, M), and the (x-1)-power
 expansion shares the same arithmetic core.
 """
 
+import sys
+from collections import Counter
+
 from .activities import valid_sets_with_activities
 from .compatible import compatible_family, is_compatible
 from .errors import ConsistencyError
-from .matroid import Matroid, rank_zero_matroid
+from .matroid import Matroid, rank_zero_matroid, subset_sizes
 from .perspective import Perspective
 from .polynomial import ONE, Poly, X, Y, Z
 
@@ -56,23 +59,40 @@ def tutte_rank_generating(p: Perspective) -> Poly:
 
         (x-1)^(r(M') - r_{M'}(A)) * (y-1)^(|A| - r_M(A)) * z^defect(A).
 
-    The exponent triples are counted first; each distinct one is expanded once.
+    Lane A of one packed int holds the mixed-radix key of that exponent
+    triple, linear in r_{M'}(A), r_M(A) and |A|; the keys are counted in C and
+    each distinct one is expanded once.  Lanes are bytes while the keys fit
+    one, else 16 bits.  A missing position of a gapped ground set is a loop
+    left out of |A|, so each key counts 2^gaps times.
     """
     rm, rq = p.matroid.ranks, p.quotient.ranks
-    full_m, full_q = p.matroid.rank(), p.quotient.rank()
-    counts = {}
-    for a in p.ground.subsets():
-        defect = full_m - full_q - rm[a] + rq[a]
-        if defect < 0:
-            p.rank_defect(a)  # raises, naming A
-        key = (full_q - rq[a], a.bit_count() - rm[a], defect)
-        counts[key] = counts.get(key, 0) + 1
-    xm1 = _powers(X - 1, full_q)
-    ym1 = _powers(Y - 1, p.ground.size)
-    total = Poly()
-    for (i, j, k), count in counts.items():
-        total = total + xm1[i] * ym1[j] * Poly.monomial(0, 0, k, count)
-    return total
+    full_m, full_q, n = p.matroid.rank(), p.quotient.rank(), p.ground.size
+    size, span_j, span_d = len(rm), n - full_m + 1, full_m - full_q + 1
+    ones = int.from_bytes(b"\x01" * size, "little")
+    # lane A = 64 + defect(A), in 16..112, borrows from no neighbour
+    lanes = (64 + full_m - full_q) * ones - int.from_bytes(rm, "little") + int.from_bytes(rq, "little")
+    if 0x40 * ones & ~lanes:
+        for a in p.ground.subsets():
+            p.rank_defect(a)  # raises at the first negative defect, naming A
+    if 0x80 * ones & (lanes + (64 - span_d) * ones):  # some defect(A) >= span_d
+        span_d = full_m + 1  # not a perspective, but no defect exceeds r(M)
+    width = 1 if (full_q + 1) * span_j * span_d <= 256 else 2
+
+    def wide(table):
+        out = bytearray(width * size)
+        out[::width] = table
+        return int.from_bytes(out, "little")
+
+    # ((r(M') - r_{M'}(A)) * span_j + |A| - r_M(A)) * span_d + defect(A)
+    keys = ((full_q * span_j * span_d + full_m - full_q) * wide(b"\x01" * size)
+            + span_d * wide(subset_sizes(size, p.ground.mask))
+            - (span_j * span_d - 1) * wide(rq) - (span_d + 1) * wide(rm))
+    # lanes in native byte order, so the cast reads each key
+    counts = Counter(memoryview(keys.to_bytes(width * size, sys.byteorder)).cast("BH"[width - 1]))
+    xm1, ym1 = _powers(X - 1, full_q), _powers(Y - 1, n)
+    return sum((xm1[key // (span_j * span_d)] * ym1[key // span_d % span_j]
+                * Poly.monomial(0, 0, key % span_d, count * 2**n // size)
+                for key, count in counts.items()), Poly())
 
 
 def tutte_bivariate_crapo(m: Matroid) -> Poly:

@@ -4,18 +4,20 @@ These functions answer the same questions as mptutte.activities,
 mptutte.compatible, Matroid.from_circuits, its circuit-axiom check, the
 Perspective check and the valid-set enumeration straight from the
 definitions, scanning the circuit families of the matroid and its dual or
-all subsets.  A matroid's bases and circuits are read off its rank table, so
-the scans that built the table and the families before it are kept here too
+all subsets; rank_generating is the corank-nullity sum as the one loop
+over the subsets that the whole-table tutte_rank_generating replaced.  A
+matroid's bases and circuits are read off its rank table, so the scans
+that built the table and the families before it are kept here too
 (greedy_ranks, circuits_from_bases, graph_bases, and the minor and dual
-tables built from independence flags): test_construction checks the tables,
-the bases and the circuits against them, and the oracle's other scans then
-share no code with the lookups they check.
+tables built from independence flags): test_construction checks the
+tables, the bases and the circuits against them, and the oracle's other
+scans then share no code with the lookups they check.
 """
 
 from array import array
 from itertools import combinations
 
-from mptutte import AxiomError, Matroid, PerspectiveError, bit
+from mptutte import AxiomError, Matroid, PerspectiveError, Poly, X, Y, bit
 
 
 def brute_rank(m: Matroid, x: int) -> int:
@@ -261,3 +263,34 @@ def _acyclic(roots: list, pairs) -> bool:
             return False
         parent[u] = v
     return True
+
+
+def rank_generating(p) -> Poly:
+    """Corank-nullity oracle: sum over every subset A of
+
+        (x-1)^(r(M') - r_{M'}(A)) * (y-1)^(|A| - r_M(A)) * z^defect(A).
+
+    The exponent triples are counted first; each distinct one is expanded once.
+    """
+    rm, rq = p.matroid.ranks, p.quotient.ranks
+    full_m, full_q = p.matroid.rank(), p.quotient.rank()
+    counts = {}
+    for a in p.ground.subsets():
+        defect = full_m - full_q - rm[a] + rq[a]
+        if defect < 0:
+            p.rank_defect(a)  # raises, naming A
+        key = (full_q - rq[a], a.bit_count() - rm[a], defect)
+        counts[key] = counts.get(key, 0) + 1
+    xm1 = _powers(X - 1, full_q)
+    ym1 = _powers(Y - 1, p.ground.size)
+    total = Poly()
+    for (i, j, k), count in counts.items():
+        total = total + xm1[i] * ym1[j] * Poly.monomial(0, 0, k, count)
+    return total
+
+
+def _powers(base: Poly, up_to: int) -> list:
+    out = [Poly.constant(1)]
+    for _ in range(up_to):
+        out.append(out[-1] * base)
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import time
 from pathlib import Path
@@ -154,6 +155,46 @@ def test_cmd_check_identity_pair_reports_no_z():
     assert "max z exponent 0" in report
 
 
+def _patched_rows(monkeypatch, edit):
+    """Make cmd_check see the fixture's bijection rows after `edit(rows)`."""
+    real = cli.bijection_table
+
+    def rows(p):
+        out = real(p)
+        edit(out)
+        return out
+
+    monkeypatch.setattr(cli, "bijection_table", rows)
+
+
+def test_cmd_check_names_both_rows_of_an_interval_overlap(monkeypatch):
+    # row {3,5} (Int {}, Ext {}) given Ext {2} covers {3,5} and {2,3,5}; the
+    # later row {2,3,5} starts its interval at {2,3,5}
+    doc = parse_input(FIXTURE)
+    b35, b235 = doc.ground.subset({3, 5}), doc.ground.subset({2, 3, 5})
+
+    def widen(rows):
+        i = next(i for i, row in enumerate(rows) if row.b == b35)
+        rows[i] = dataclasses.replace(rows[i], external=doc.ground.subset({2}))
+        assert any(row.b == b235 for row in rows[i + 1:])
+
+    _patched_rows(monkeypatch, widen)
+    report, ok = cmd_check(doc)
+    assert not ok
+    assert ("FAIL interval partition of the power set: {2,3,5} lies in the intervals "
+            "of both {3,5} and {2,3,5}") in report.splitlines()
+
+
+def test_cmd_check_counts_subsets_no_interval_covers(monkeypatch):
+    # the last row, {2,4,5} with Int {} and Ext {1,3}, covers 4 subsets
+    doc = parse_input(FIXTURE)
+    _patched_rows(monkeypatch, lambda rows: rows.pop())
+    report, ok = cmd_check(doc)
+    assert not ok
+    assert ("FAIL interval partition of the power set: 4 subsets not covered by any interval"
+            in report.splitlines())
+
+
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     f = tmp_path / "doc.txt"
     f.write_text(FIXTURE)
@@ -227,6 +268,32 @@ def test_main_refuses_oversized_rank_table(tmp_path, capsys):
             assert time.perf_counter() - start < 5, stanza
             err = capsys.readouterr().err
             assert err == f"error: line 1: {n} elements exceeds the limit of 24\n", err
+
+
+def test_main_treats_only_ascii_digits_as_a_count(tmp_path, capsys):
+    # "²".isdigit() is true but int("²") fails: a label list, not a count
+    f = tmp_path / "doc.txt"
+    for text, code, out in (
+        ("elements: ²\n", 1, ""),
+        ("elements: ²\nmatroid M bases: {²}\n", 0, "x\n"),
+        ("elements: ３\nmatroid M bases: {1}\n", 1, ""),
+    ):
+        f.write_text(text, encoding="utf-8")
+        assert main(["tutte", "--input", str(f)]) == code, text
+        captured = capsys.readouterr()
+        assert captured.out == out, text
+        assert captured.err.count("\n") <= 1 and "Traceback" not in captured.err, text
+
+
+def test_main_refuses_a_huge_count_before_building_labels(tmp_path, capsys):
+    f = tmp_path / "doc.txt"
+    for count, shown in (("1000000000000", "1000000000000"), ("0025", "25"), ("9" * 5000, "9" * 5000)):
+        f.write_text(f"elements: {count}\nmatroid M bases: {{1}}\n")
+        start = time.perf_counter()
+        assert main(["tutte", "--input", str(f)]) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == f"error: line 1: {shown} elements exceeds the limit of 24\n"
 
 
 def test_main_reads_stdin(monkeypatch, capsys):
