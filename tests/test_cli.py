@@ -156,7 +156,7 @@ def test_cmd_check_identity_pair_reports_no_z():
 
 
 def _patched_rows(monkeypatch, edit):
-    """Make cmd_check see the fixture's bijection rows after `edit(rows)`."""
+    """Make cmd_check see each document's bijection rows after `edit(rows)`."""
     real = cli.bijection_table
 
     def rows(p):
