@@ -34,35 +34,24 @@ set instead of testing all 2^n subsets.
 from .matroid import Matroid
 
 
-def active_elements(quotient: Matroid, matroid: Matroid, x: int):
-    """Yield, as one-bit masks from the `<`-greatest down, each element of X
-    internally active in `quotient` and each element outside X externally
-    active in `matroid` (two matroids on one ground set)."""
+def activities(quotient: Matroid, matroid: Matroid, x: int) -> tuple:
+    """(Int_{quotient}(X), Ext_{matroid}(X)) as masks (two matroids on one
+    ground set), in one pass from the `<`-greatest element down."""
     ground = matroid.ground
     ground.check_subset(x)
     rq, rm = quotient.ranks, matroid.ranks
-    above = 0
+    internal = external = above = 0
     t = ground.mask
     for e in reversed(ground.order):
         b = 1 << (e - 1)  # bit(e), inlined: this loop is the hottest in the package
         if b & x:
             if rq[t ^ b] < rq[t]:
-                yield b
+                internal |= b
             above |= b
         else:
             if rm[above | b] == rm[above]:
-                yield b
+                external |= b
             t ^= b
-
-
-def activities(quotient: Matroid, matroid: Matroid, x: int) -> tuple:
-    """(Int_{quotient}(X), Ext_{matroid}(X)) as masks."""
-    internal = external = 0
-    for b in active_elements(quotient, matroid, x):
-        if b & x:
-            internal |= b
-        else:
-            external |= b
     return internal, external
 
 

@@ -2,7 +2,7 @@
 
 Input grammar (line oriented; ``#`` starts a comment; blank lines ignored)::
 
-    elements: <n>                       # or an explicit label list: a b c
+    elements: <n>                       # or a label list (no { } , or =): a b c
     order: <e1> <e2> ... <en>           # optional, ascending <; default natural
     matroid <name> circuits: {1,2} {3}  # or: matroid <name> bases: {1} {2}
     graph <name> edges: 1=u-v 2=v-w     # edge labels are the elements
@@ -12,9 +12,9 @@ One matroid stanza makes a single-matroid document (commands lift it to the
 perspective (M, M)); two stanzas, or a graph stanza plus ``identify:``, make
 a perspective document whose first matroid is M and second is M'.
 
-Exit codes are a contract: 0 success, 1 parse/input error, 2 invalid
-perspective, 3 property-check failure or a tripped internal cross-check
-(ConsistencyError).
+Exit codes are a contract: 0 success, 1 parse/input error (a command-line
+usage error included), 2 invalid perspective, 3 property-check failure or a
+tripped internal cross-check (ConsistencyError).
 """
 
 import argparse
@@ -113,6 +113,10 @@ def parse_input(text: str) -> InputDocument:
             if len(n) > len(str(MAX_ELEMENTS)) or int(n) > MAX_ELEMENTS:
                 raise ParseError(f"{n} elements exceeds the limit of {MAX_ELEMENTS}", no)
             labels = tuple(map(str, range(1, int(n) + 1))) if count else tuple(tokens)
+            for lbl in labels:
+                if any(ch in lbl for ch in "{},="):
+                    raise ParseError(f"element label {lbl!r} contains a reserved character "
+                                     "(one of { } , =)", no)
             label_index = {lbl: i for i, lbl in enumerate(labels, start=1)}
         elif keyword == "order":
             need_elements(no)
@@ -323,18 +327,18 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         if missing:
             raise _CheckFailure(f"{missing} subsets not covered by any interval")
 
+    base = tutte_activities(p)
+
     def agreement():
-        a = tutte_activities(p)
         c = tutte_compatible(p)
         r = tutte_rank_generating(p)
-        if not (a == c == r):
+        if not (base == c == r):
             raise _CheckFailure(
-                f"activities {a} | compatible {c} | rank-generating {r}"
+                f"activities {base} | compatible {c} | rank-generating {r}"
             )
-        return f"T = {a}; max z exponent {a.max_z_exponent()}"
+        return f"T = {base}; max z exponent {base.max_z_exponent()}"
 
     def order_invariance():
-        base = tutte_activities(p)
         rng = random.Random(seed)
         n = doc.ground.size
         for i in range(10):
@@ -363,8 +367,17 @@ class _CheckFailure(Exception):
 
 # -- entry point ------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1 (malformed input), since 2
+    means a valid pair that is not a perspective."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mptutte",
         description="Tutte polynomials of matroid perspectives: "
         "activities and compatible-sets expansions, bijection tables, property checks.",

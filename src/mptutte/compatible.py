@@ -21,7 +21,7 @@ definition-literal circuit scans live in the tests' oracle module, which
 checks this family and is_compatible against them on the whole corpus.
 """
 
-from .activities import active_elements, externally_active
+from .activities import activities, externally_active
 from .matroid import Matroid
 from .perspective import Perspective
 
@@ -33,7 +33,7 @@ def is_compatible(m: Matroid, x: int) -> bool:
 
 def in_family(p: Perspective, x: int) -> bool:
     """True iff X is in D(M, M', <): Int_{M'}(X) and Ext_M(X) are empty."""
-    return not any(active_elements(p.quotient, p.matroid, x))
+    return activities(p.quotient, p.matroid, x) == (0, 0)
 
 
 def compatible_family(p: Perspective) -> list:

@@ -3,9 +3,33 @@
 Terms live in a dict mapping exponent triples (a, b, c) to nonzero int
 coefficients, so x^2*z is ``{(2, 0, 1): 1}``.  Values are immutable: every
 operation returns a fresh Poly.  Coefficients are Python ints, hence exact at
-any size.  Bivariate polynomials are simply the z-free case; there is one
-arithmetic core and specializations become assertions.
+any size.  Bivariate polynomials are simply the z-free case.
+
+One helper, _collect, adds (exponent triple, coefficient) pairs into a term
+map for the constructor, sums and products, so a route can hand Poly one
+stream of terms.  One routine, powers, lists p^0..p^n for exponentiation,
+substitution and the corank-nullity route.
 """
+
+
+def _collect(terms: dict, pairs) -> dict:
+    """Add each (exponent triple, coefficient) pair into `terms`, dropping
+    keys whose coefficient becomes zero; returns `terms`."""
+    for key, coeff in pairs:
+        coeff += terms.get(key, 0)
+        if coeff:
+            terms[key] = coeff
+        else:
+            terms.pop(key, None)
+    return terms
+
+
+def _checked(pairs):
+    for key, coeff in pairs:
+        a, b, c = key
+        if a < 0 or b < 0 or c < 0:
+            raise ValueError(f"negative exponent in {key!r}")
+        yield key, coeff
 
 
 class Poly:
@@ -14,18 +38,9 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                a, b, c = key
-                if a < 0 or b < 0 or c < 0:
-                    raise ValueError(f"negative exponent in {key!r}")
-                coeff = d.get(key, 0) + coeff
-                if coeff:
-                    d[key] = coeff
-                elif key in d:
-                    del d[key]
-        self._terms = d
+        """From a term map or an iterable of (key, coefficient) pairs; keys may repeat."""
+        pairs = terms.items() if isinstance(terms, dict) else terms or ()
+        self._terms = _collect({}, _checked(pairs))
 
     @classmethod
     def monomial(cls, a: int, b: int, c: int, coeff: int = 1) -> "Poly":
@@ -40,9 +55,8 @@ class Poly:
         return dict(self._terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        return isinstance(other, Poly) and self._terms == other._terms
+        other = _coerce(other)
+        return other is not None and self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
@@ -51,102 +65,59 @@ class Poly:
         return bool(self._terms)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        d = dict(self._terms)
-        for key, coeff in other._terms.items():
-            s = d.get(key, 0) + coeff
-            if s:
-                d[key] = s
-            elif key in d:
-                del d[key]
-        out = Poly.__new__(Poly)
-        out._terms = d
-        return out
+        return _wrap(_collect(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out._terms = {k: -v for k, v in self._terms.items()}
-        return out
+        return _wrap({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        other = _coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        d = {}
-        for (a1, b1, c1), v1 in self._terms.items():
-            for (a2, b2, c2), v2 in other._terms.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                s = d.get(key, 0) + v1 * v2
-                if s:
-                    d[key] = s
-                elif key in d:
-                    del d[key]
-        out = Poly.__new__(Poly)
-        out._terms = d
-        return out
+        return _wrap(_collect({}, (
+            ((a1 + a2, b1 + b2, c1 + c2), v1 * v2)
+            for (a1, b1, c1), v1 in self._terms.items()
+            for (a2, b2, c2), v2 in other._terms.items())))
 
     __rmul__ = __mul__
+
+    def powers(self, n: int) -> list:
+        """[p^0, p^1, ..., p^n]."""
+        out = [ONE]
+        for _ in range(n):
+            out.append(out[-1] * self)
+        return out
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a nonnegative int, got {n!r}")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self.powers(n)[n]
 
     def substitute(self, x=None, y=None, z=None) -> "Poly":
         """Replace variables by polynomials (or ints), fully expanded.
 
         Omitted variables are left alone, so ``p.substitute()`` is p itself.
         """
-        subs = []
-        for default, repl in ((X, x), (Y, y), (Z, z)):
-            if repl is None:
-                repl = default
-            elif isinstance(repl, int):
-                repl = Poly.constant(repl)
-            subs.append(repl)
-        xs, ys, zs = subs
-        # memoize powers; exponents repeat heavily in activity expansions
-        pows = ({0: ONE}, {0: ONE}, {0: ONE})
-
-        def power(which, base, n):
-            cache = pows[which]
-            if n not in cache:
-                cache[n] = power(which, base, n - 1) * base
-            return cache[n]
-
-        total = ZERO
-        for (a, b, c), coeff in self._terms.items():
-            term = power(0, xs, a) * power(1, ys, b) * power(2, zs, c)
-            total = total + term * coeff
-        return total
+        tops = [max(exps) for exps in zip(*self._terms)] or [0, 0, 0]
+        xs, ys, zs = ((var if repl is None else _coerce(repl)).powers(top)
+                      for var, repl, top in zip((X, Y, Z), (x, y, z), tops))
+        return sum((xs[a] * ys[b] * zs[c] * coeff
+                    for (a, b, c), coeff in self._terms.items()), ZERO)
 
     def evaluate(self, xv: int, yv: int, zv: int) -> int:
-        return sum(
-            coeff * xv**a * yv**b * zv**c for (a, b, c), coeff in self._terms.items()
-        )
+        return sum(coeff * xv**a * yv**b * zv**c for (a, b, c), coeff in self._terms.items())
 
     def max_z_exponent(self) -> int:
         """Largest z exponent present (0 for the zero polynomial)."""
@@ -163,27 +134,29 @@ class Poly:
         pieces = []
         for key in sorted(self._terms, reverse=True):
             coeff = self._terms[key]
-            vars_part = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip("xyz", key)
-                if e
-            )
-            mag = abs(coeff)
-            if not vars_part:
-                body = str(mag)
-            elif mag == 1:
-                body = vars_part
-            else:
-                body = f"{mag}*{vars_part}"
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        out = body if sign == "+" else "-" + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip("xyz", key) if e]
+            if abs(coeff) != 1 or not factors:
+                factors.insert(0, str(abs(coeff)))
+            pieces.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+        text = " ".join(pieces)  # "+ x^2 - y + 1": the leading sign folds in
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _wrap(terms: dict) -> Poly:
+    """A Poly owning `terms`, which must hold no zero coefficient."""
+    out = Poly.__new__(Poly)
+    out._terms = terms
+    return out
+
+
+def _coerce(value):
+    """`value` as a Poly (ints become constants), or None for anything else."""
+    if isinstance(value, int):
+        return Poly.constant(value)
+    return value if isinstance(value, Poly) else None
 
 
 ZERO = Poly()

@@ -14,44 +14,41 @@ agree coefficient-exactly:
 
 The first two sum over families grown top-down along the ground order, at
 O(n) rank lookups per member; the oracle visits all 2^n subsets in table passes.
+Each route counts its exponent triples and hands Poly one stream of terms.
 
-The bivariate specializations are the M = M' and quotient-of-rank-0 cases:
-Crapo's activities sum over bases and Kochol's compatible-sets sum are
-tutte_activities and tutte_compatible on (M, M), and the (x-1)-power
-expansion shares the same arithmetic core.
+The bivariate expansions are specializations, not second arithmetic cores:
+Crapo's and Kochol's sums are tutte_activities and tutte_compatible on
+(M, M), and the (x-1)-power expansion is tutte_compatible on (M, U0), U0 the
+rank-0 quotient.  D(M, U0) is {X : E \\ X compatible with M}, and X's term
+is x^0 y^r*(M|X) z^r(M/X), so z -> x - 1 gives it.
 """
 
 import sys
 from collections import Counter
 
 from .activities import valid_sets_with_activities
-from .compatible import compatible_family, is_compatible
+from .compatible import compatible_family
 from .errors import ConsistencyError
 from .matroid import Matroid, rank_zero_matroid, subset_sizes
 from .perspective import Perspective
-from .polynomial import ONE, Poly, X, Y, Z
+from .polynomial import Poly, X, Y, Z
 
 
 def tutte_activities(p: Perspective) -> Poly:
     """Sum of x^|Int| y^|Ext| z^defect over valid B; B is independent in M
     and spanning in M', so its rank defect is r(M) - |B|."""
     full = p.matroid.rank()
-    terms = {}
-    for b, internal, external in valid_sets_with_activities(p.quotient, p.matroid):
-        key = (internal.bit_count(), external.bit_count(), full - b.bit_count())
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(terms)
+    return Poly(Counter((internal.bit_count(), external.bit_count(), full - b.bit_count())
+                        for b, internal, external
+                        in valid_sets_with_activities(p.quotient, p.matroid)))
 
 
 def tutte_compatible(p: Perspective) -> Poly:
     """Sum of x^r(M'/X) y^r*(M|X) z^defect over the compatible family."""
     rm, rq = p.matroid.ranks, p.quotient.ranks
     full_m, full_q = p.matroid.rank(), p.quotient.rank()
-    terms = {}
-    for x in compatible_family(p):
-        key = (full_q - rq[x], x.bit_count() - rm[x], full_m - full_q - rm[x] + rq[x])
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(terms)
+    return Poly(Counter((full_q - rq[x], x.bit_count() - rm[x], full_m - full_q - rm[x] + rq[x])
+                        for x in compatible_family(p)))
 
 
 def tutte_rank_generating(p: Perspective) -> Poly:
@@ -89,10 +86,12 @@ def tutte_rank_generating(p: Perspective) -> Poly:
             - (span_j * span_d - 1) * wide(rq) - (span_d + 1) * wide(rm))
     # lanes in native byte order, so the cast reads each key
     counts = Counter(memoryview(keys.to_bytes(width * size, sys.byteorder)).cast("BH"[width - 1]))
-    xm1, ym1 = _powers(X - 1, full_q), _powers(Y - 1, n)
-    return sum((xm1[key // (span_j * span_d)] * ym1[key // span_d % span_j]
-                * Poly.monomial(0, 0, key % span_d, count * 2**n // size)
-                for key, count in counts.items()), Poly())
+    xm1 = [power.terms().items() for power in (X - 1).powers(full_q)]
+    ym1 = [power.terms().items() for power in (Y - 1).powers(n)]
+    return Poly(((a, b, key % span_d), u * v * (count * 2**n // size))
+                for key, count in counts.items()
+                for (a, _, _), u in xm1[key // (span_j * span_d)]
+                for (_, b, _), v in ym1[key // span_d % span_j])
 
 
 def tutte_bivariate_crapo(m: Matroid) -> Poly:
@@ -112,18 +111,10 @@ def tutte_m0_expansion(m: Matroid) -> Poly:
 
         sum over X with E \\ X compatible of (x-1)^r(M/X) y^r*(M|X),
 
-    with the (x-1) powers expanded exactly.  Equals tutte_bivariate_crapo.
+    with the (x-1) powers expanded exactly: tutte_compatible on (M, U0),
+    whose z counts r(M/X), at z = x - 1.  Equals tutte_bivariate_crapo.
     """
-    r = m.rank()
-    xm1 = _powers(X - 1, r)
-    full = m.ground.mask
-    total = Poly()
-    for x in m.ground.subsets():
-        if not is_compatible(m, full ^ x):
-            continue
-        rx = m.rank(x)
-        total = total + xm1[r - rx] * Poly.monomial(0, x.bit_count() - rx, 0)
-    return total
+    return tutte_compatible(Perspective(m, rank_zero_matroid(m.ground))).substitute(z=X - 1)
 
 
 def specialize_m0(m: Matroid) -> Poly:
@@ -143,9 +134,3 @@ def specialize_m0(m: Matroid) -> Poly:
         )
     return direct
 
-
-def _powers(base: Poly, up_to: int) -> list:
-    out = [ONE]
-    for _ in range(up_to):
-        out.append(out[-1] * base)
-    return out

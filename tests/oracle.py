@@ -5,7 +5,9 @@ mptutte.compatible, Matroid.from_circuits, its circuit-axiom check, the
 Perspective check and the valid-set enumeration straight from the
 definitions, scanning the circuit families of the matroid and its dual or
 all subsets; rank_generating is the corank-nullity sum as the one loop
-over the subsets that the whole-table tutte_rank_generating replaced.  A
+over the subsets that the whole-table tutte_rank_generating replaced, and
+m0_expansion is the per-subset (x-1)-power loop that tutte_m0_expansion
+replaced, on this module's circuit-scan is_compatible.  A
 matroid's bases and circuits are read off its rank table, so the scans
 that built the table and the families before it are kept here too
 (greedy_ranks, circuits_from_bases, graph_bases, and the minor and dual
@@ -286,6 +288,23 @@ def rank_generating(p) -> Poly:
     total = Poly()
     for (i, j, k), count in counts.items():
         total = total + xm1[i] * ym1[j] * Poly.monomial(0, 0, k, count)
+    return total
+
+
+def m0_expansion(m: Matroid) -> Poly:
+    """Alternate compatible-sets expansion of T_M(x, y), one subset at a time:
+
+        sum over X with E \\ X compatible of (x-1)^r(M/X) y^r*(M|X).
+    """
+    r = m.rank()
+    xm1 = _powers(X - 1, r)
+    full = m.ground.mask
+    total = Poly()
+    for x in m.ground.subsets():
+        if not is_compatible(m, full ^ x):
+            continue
+        rx = m.rank(x)
+        total = total + xm1[r - rx] * Poly.monomial(0, x.bit_count() - rx, 0)
     return total
 
 

@@ -78,6 +78,14 @@ def test_parse_errors():
         parse_input("elements: 2\nmatroid M bases: {1} junk\n")
     with pytest.raises(ParseError, match="unknown vertex"):
         parse_input("elements: 1\ngraph G edges: 1=a-b\nidentify: a=z\n")
+    # a label holding a set or edge delimiter could never be referenced, and
+    # would print ambiguously: {x,y} for a one-element set
+    for labels, bad in (("x,y z", "x,y"), ("a b{", "b{"), ("}c d", "}c"), ("e=f", "e=f")):
+        with pytest.raises(ParseError) as exc:
+            parse_input(f"# labels\nelements: {labels}\nmatroid M bases: {{z}}\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == (f"line 2: element label {bad!r} contains a reserved "
+                                  "character (one of { } , =)")
 
 
 def test_parse_string_labels_and_order():
@@ -226,6 +234,19 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
 
     assert main(["tutte", "--input", str(tmp_path / "missing.txt")]) == 1
     capsys.readouterr()
+
+    # usage errors are malformed input too: exit 1 with argparse's usage text,
+    # since 2 means a valid pair that is not a perspective
+    for argv in (["tutte", "--method", "foo"], ["bogus"], [], ["check", "--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: mptutte") and "error: " in err, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mptutte")
 
     # bytes that are not UTF-8: an input error on one line, not a traceback
     f.write_bytes(b"elements: 2\nmatroid M circuits: {1,2}\n# \xe9\xff\n")

@@ -54,6 +54,12 @@ def test_zero_terms_pruned():
     assert (X - X).terms() == {}
     assert not (X - X)
     assert not Poly({(1, 0, 0): 0})
+    # one stream whose keys repeat: x cancels, then comes back; y^2 cancels
+    stream = [((1, 0, 0), 2), ((0, 2, 0), 1), ((1, 0, 0), -2), ((0, 1, 0), 3),
+              ((0, 2, 0), -1), ((1, 0, 0), 5), ((0, 1, 0), -1)]
+    p = Poly(iter(stream))
+    assert p.terms() == {(1, 0, 0): 5, (0, 1, 0): 2}
+    assert not Poly(iter(stream[:3] + [((0, 2, 0), -1)]))
 
 
 def test_ring_axioms_on_random_sample():

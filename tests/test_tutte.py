@@ -12,7 +12,9 @@ from mptutte import (
     X,
     Y,
     Z,
+    cycle_matroid,
     free_matroid,
+    identify_vertices,
     rank_zero_matroid,
     specialize_m0,
     tutte_activities,
@@ -24,7 +26,7 @@ from mptutte import (
     uniform_matroid,
 )
 import oracle
-from corpus import fixture_matroids, fixture_perspective
+from corpus import corpus_matroids, fixture_matroids, fixture_perspective, ladder
 
 FIXTURE_POLY_STR = "x^2*z + x^2 + x*y + 2*x*z + 2*x + y^2 + y*z + 2*y + z + 1"
 
@@ -79,12 +81,24 @@ def test_kochol_equals_crapo(fixture, small_matroids):
         assert tutte_bivariate_kochol(matroid) == tutte_bivariate_crapo(matroid)
 
 
-def test_m0_expansion_equals_crapo(small_matroids):
+def test_m0_expansion_equals_crapo(corpus, small_matroids):
     m, _ = fixture_matroids()
     pool = [m, uniform_matroid(1, GroundSet(2)), free_matroid(GroundSet(1))]
     pool += small_matroids
     for matroid in pool:
         assert tutte_m0_expansion(matroid) == tutte_bivariate_crapo(matroid)
+    # against the per-subset loop the rank-0 compatible route replaced
+    g = ladder(12)
+    rest = [[v] for v in g.vertices if v not in ("v0", "v3")]
+    ladder_m = cycle_matroid(g)
+    pool = corpus_matroids(corpus) + [
+        ("ladder-12", ladder_m),
+        ("ladder-12-identified", cycle_matroid(identify_vertices(g, [["v0", "v3"]] + rest),
+                                               ladder_m.ground)),
+        ("uniform-4-12", uniform_matroid(4, GroundSet(12))),
+    ]
+    for name, matroid in pool:
+        assert tutte_m0_expansion(matroid) == oracle.m0_expansion(matroid), name
 
 
 def test_rank_generating_on_identity_pairs(small_matroids):
