@@ -168,7 +168,7 @@ class Matroid:
         return Matroid._from_table(self._minor_ground(self.ground.mask ^ x), self.ranks[x:].translate(less))
 
     def _minor_ground(self, keep: int) -> GroundSet:
-        return GroundSet.from_order(e for e in self.ground.order if bit(e) & keep)
+        return GroundSet.from_order((e for e in self.ground.order if bit(e) & keep), self.ground.names)
 
     def min_basis(self) -> int:
         """Lexicographically least basis under the ground order, greedily.
@@ -287,7 +287,7 @@ def _check_exchange(ground: GroundSet, bases: tuple):
                 else:
                     raise AxiomError(
                         "basis exchange fails: no replacement for element "
-                        f"{e.bit_length()} of {fmt(b1)} against {fmt(b2)}"
+                        f"{ground.names[e.bit_length() - 1]} of {fmt(b1)} against {fmt(b2)}"
                     )
 
 
@@ -310,7 +310,7 @@ def _check_circuit_axioms(ground: GroundSet, circs, dependent: bytes):
             if not dependent[union]:
                 raise AxiomError(
                     "circuit elimination fails: no circuit inside "
-                    f"{fmt(union)} (from {fmt(c1)}, {fmt(c2)} dropping {e.bit_length()})"
+                    f"{fmt(union)} (from {fmt(c1)}, {fmt(c2)} dropping {ground.names[e.bit_length() - 1]})"
                 )
 
 

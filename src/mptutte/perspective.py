@@ -44,7 +44,9 @@ class Perspective:
             raise DomainError(
                 f"perspective needs one ground set; got {matroid.ground!r} and {quotient.ground!r}"
             )
-        if not _rank_steps_dominate(matroid, quotient):
+        # every matroid has itself and its rank-0 matroid as quotients
+        if (quotient.rank() and quotient.ranks != matroid.ranks
+                and not _rank_steps_dominate(matroid, quotient)):
             rq = quotient.ranks
             for c in matroid.circuits:
                 if any(rq[c & ~bit(e)] < rq[c] for e in matroid.ground.labels(c)):
@@ -82,7 +84,7 @@ class Perspective:
         if len(order) != self.ground.size or set(order) != set(self.ground.order):
             raise DomainError(f"order {order!r} is not a permutation of the ground set "
                               f"{self.ground.fmt(self.ground.mask)}")
-        ground = GroundSet.from_order(order)
+        ground = GroundSet.from_order(order, self.ground.names)
         p = Perspective.__new__(Perspective)
         p.matroid, p.quotient = self.matroid.reordered(ground), self.quotient.reordered(ground)
         return p

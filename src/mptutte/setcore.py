@@ -15,6 +15,7 @@ operation takes an ad-hoc comparator.
 from .errors import DomainError
 
 MAX_ELEMENTS = 24
+NUMERALS = tuple(str(e) for e in range(1, MAX_ELEMENTS + 1))
 
 
 def bit(label: int) -> int:
@@ -26,13 +27,14 @@ class GroundSet:
     """A finite set of integer labels with a total order.
 
     ``GroundSet(n)`` gives elements 1..n in natural order; pass ``order`` (a
-    permutation of 1..n, smallest first) to change ``<``.  Minors use
-    :meth:`from_order` to keep original labels with the inherited order.
+    permutation of 1..n, smallest first) to change ``<``, and ``names`` (label
+    e prints as names[e - 1]; equality ignores them) to print other than
+    numerals.  Minors use :meth:`from_order` to keep labels and names.
     """
 
-    __slots__ = ("order", "mask")
+    __slots__ = ("order", "mask", "names")
 
-    def __init__(self, n: int, order=None):
+    def __init__(self, n: int, order=None, names=None):
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"ground set size must be a nonnegative integer, got {n!r}")
         if n > MAX_ELEMENTS:
@@ -43,12 +45,17 @@ class GroundSet:
             order = tuple(order)
             if sorted(order) != list(range(1, n + 1)):
                 raise DomainError(f"order {order!r} is not a permutation of 1..{n}")
+        if names is None:
+            names = NUMERALS
+        elif len(names) != n:
+            raise DomainError(f"{len(names)} names for {n} elements")
         self.order = order
         self.mask = (1 << n) - 1
+        self.names = tuple(names)
 
     @classmethod
-    def from_order(cls, order) -> "GroundSet":
-        """Ground set over arbitrary distinct labels, listed in ascending `<`."""
+    def from_order(cls, order, names=NUMERALS) -> "GroundSet":
+        """Ground set over distinct labels listed in ascending `<`, named as in __init__."""
         order = tuple(order)
         if len(set(order)) != len(order):
             raise DomainError(f"duplicate labels in {order!r}")
@@ -57,6 +64,7 @@ class GroundSet:
                 raise DomainError(f"label {e!r} outside 1..{MAX_ELEMENTS}")
         g = cls.__new__(cls)
         g.order = order
+        g.names = names
         g.mask = 0
         for e in order:
             g.mask |= bit(e)
@@ -77,8 +85,9 @@ class GroundSet:
 
     def check_subset(self, x: int) -> int:
         if x & ~self.mask:
+            outside = self.labels(x & ~self.mask & ((1 << x.bit_length()) - 1))
             raise DomainError(
-                f"subset {self.fmt(x & ~self.mask & ((1 << x.bit_length()) - 1))} "
+                f"subset {{{','.join(map(str, outside))}}} "  # unnamed: not in the ground set
                 f"contains elements outside the ground set {self.fmt(self.mask)}"
             )
         return x
@@ -103,8 +112,8 @@ class GroundSet:
         return tuple(out)
 
     def fmt(self, x: int) -> str:
-        """Render a mask as ``{1,3,5}`` (``{}`` when empty)."""
-        return "{" + ",".join(str(e) for e in self.labels(x)) + "}"
+        """Render a mask as ``{1,3,5}``, or by its names (``{}`` when empty)."""
+        return "{" + ",".join([self.names[e - 1] for e in self.labels(x)]) + "}"
 
     def complement(self, x: int) -> int:
         """E \\ X."""

@@ -1,11 +1,12 @@
 import dataclasses
 import io
+import random
 import time
 from pathlib import Path
 
 import pytest
 
-from mptutte import ConsistencyError, ParseError, cli
+from mptutte import ConsistencyError, DomainError, ParseError, cli
 from mptutte.cli import (
     cmd_check,
     cmd_compatible,
@@ -90,9 +91,14 @@ def test_parse_errors():
 
 def test_parse_string_labels_and_order():
     doc = parse_input("elements: e f g\norder: g f e\nmatroid M circuits: {e,f} {f,g} {e,g}\n")
-    assert doc.labels == ("e", "f", "g")
+    assert doc.ground.names == ("e", "f", "g")
     assert doc.ground.order == (3, 2, 1)
-    assert doc.fmt(doc.ground.subset({1, 3})) == "{e,g}"
+    assert doc.ground.fmt(doc.ground.subset({1, 3})) == "{e,g}"
+    # minors, duals and reorderings keep the names
+    p = document_perspective(doc)
+    assert p.matroid.restrict(0b101).ground.fmt(0b101) == "{e,g}"
+    assert p.dual().matroid.contract(0b010).ground.fmt(0b101) == "{e,g}"
+    assert p.reordered((1, 2, 3)).ground.fmt(0b111) == "{e,f,g}"
 
 
 def test_parse_empty_forms():
@@ -201,6 +207,110 @@ def test_cmd_check_counts_subsets_no_interval_covers(monkeypatch):
     assert not ok
     assert ("FAIL interval partition of the power set: 4 subsets not covered by any interval"
             in report.splitlines())
+
+
+ROUND_TRIPS = "FAIL bijection round trips (f, g mutually inverse between valid sets and D): "
+
+
+def _check_fails(tmp_path, capsys, text=FIXTURE):
+    """Run `check` through main; return its report lines after asserting exit 3."""
+    f = tmp_path / "doc.txt"
+    f.write_text(text)
+    assert main(["check", "--input", str(f)]) == 3
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[-1] == "CHECKS FAILED"
+    return out.splitlines()
+
+
+def test_check_fails_when_backward_misses_the_row(tmp_path, capsys, monkeypatch):
+    # the first row, B = {2,4}, has X = {}; a backward returning X itself
+    # gives {} back, not {2,4}
+    monkeypatch.setattr(cli, "backward", lambda p, x: x)
+    assert ROUND_TRIPS + "g(f(B)) != B at B = {2,4}" in _check_fails(tmp_path, capsys)
+
+
+def test_check_fails_when_an_image_is_missing_from_d(tmp_path, capsys, monkeypatch):
+    real = cli.compatible_family
+    monkeypatch.setattr(cli, "compatible_family", lambda p: [x for x in real(p) if x != 0b10000])
+    lines = _check_fails(tmp_path, capsys)
+    assert ROUND_TRIPS + "f({2,5}) = {5} is not compatible" in lines
+
+
+def test_check_fails_when_d_has_an_extra_member(tmp_path, capsys, monkeypatch):
+    # {2} is no image of a valid set; the count shows it without a pass over D
+    real = cli.compatible_family
+    monkeypatch.setattr(cli, "compatible_family", lambda p: real(p) + [0b10])
+    assert ROUND_TRIPS + "|D| = 14 but 13 valid sets in 13 rows" in _check_fails(tmp_path, capsys)
+
+
+def test_check_maps_a_backward_domain_error_to_its_fail_line(tmp_path, capsys, monkeypatch):
+    # a row whose image is the non-member {2}, listed in D too: backward
+    # refuses {2}, and the refusal is the round-trip check's failure
+    real = cli.compatible_family
+    monkeypatch.setattr(cli, "compatible_family", lambda p: real(p) + [0b10])
+    _patched_rows(monkeypatch, lambda rows: rows.__setitem__(0, dataclasses.replace(rows[0], x=0b10)))
+    lines = _check_fails(tmp_path, capsys)
+    assert ROUND_TRIPS + "{2} is not in the compatible family" in lines
+    # the other checks still run and report
+    assert any(line.startswith("ok   polynomial agreement") for line in lines)
+
+
+LABELLED = "elements: A B C D\n"
+
+
+@pytest.mark.parametrize("stanzas, code, message", [
+    ("matroid M bases: {A} {B,C}", 1,
+     "in stanza 'M' (line 2): bases must share one cardinality; {A} and {B,C} differ"),
+    ("matroid M bases: {A,B} {C,D}", 1,
+     "in stanza 'M' (line 2): basis exchange fails: no replacement for element A "
+     "of {A,B} against {C,D}"),
+    ("matroid M circuits: {A} {A,B}", 1,
+     "in stanza 'M' (line 2): circuits must form an antichain; {A} is inside {A,B}"),
+    ("matroid M circuits: {A,B} {B,C}", 1,
+     "in stanza 'M' (line 2): circuit elimination fails: no circuit inside {A,C} "
+     "(from {A,B}, {B,C} dropping B)"),
+    ("matroid M circuits: {A,B} {B,C} {A,C}\nmatroid N circuits: {A}", 2,
+     "not a perspective: circuit {A,B} of the first matroid is not a union of "
+     "circuits of the second"),
+])
+def test_library_errors_name_the_document_labels(tmp_path, capsys, stanzas, code, message):
+    f = tmp_path / "doc.txt"
+    f.write_text(LABELLED + stanzas + "\n")
+    assert main(["tutte", "--input", str(f)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the same family on numerals prints numerals, as it always did
+    numerals = str.maketrans("ABCD", "1234")
+    f.write_text("elements: 4\n" + stanzas.translate(numerals) + "\n")
+    assert main(["tutte", "--input", str(f)]) == code
+    assert capsys.readouterr() == ("", f"error: {message.translate(numerals)}\n")
+
+
+@pytest.mark.parametrize("elements, names", [("a b c d", "abcd"), ("4", "1234")])
+def test_check_order_invariance_failure_names_the_order(tmp_path, capsys, monkeypatch,
+                                                        elements, names):
+    # every reordered perspective gets a polynomial one too big
+    real, calls = cli.tutte_activities, []
+
+    def skewed(p):
+        calls.append(p)
+        return real(p) + (1 if len(calls) > 1 else 0)
+
+    monkeypatch.setattr(cli, "tutte_activities", skewed)
+    lines = _check_fails(tmp_path, capsys, f"elements: {elements}\nmatroid M bases: {{{names[0]}}}\n")
+    perm = random.Random(0).sample(range(1, 5), 4)
+    shown = ", ".join(names[e - 1] for e in perm)
+    assert (f"FAIL order invariance (10 orders, seed 0): order [{shown}] gave x*y^3 + 1 "
+            "instead of x*y^3") in lines
+    if names == "1234":  # numeric labels print as the list itself
+        assert f"order {perm} gave" in lines[-2]
+
+
+@pytest.mark.parametrize("name, code", [
+    ("labelled_bad_bases", 1), ("non_perspective", 2), ("oversized", 1),
+])
+def test_main_prints_the_golden_error_line(capsys, name, code):
+    assert main(["tutte", "--input", str(DATA / f"{name}.txt")]) == code
+    assert capsys.readouterr() == ("", (DATA / f"{name}_stderr.txt").read_text())
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):

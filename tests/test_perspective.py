@@ -9,7 +9,9 @@ from mptutte import (
     Perspective,
     PerspectiveError,
     free_matroid,
+    rank_zero_matroid,
     tutte_activities,
+    tutte_m0_expansion,
     uniform_matroid,
     validate_perspective,
 )
@@ -42,6 +44,24 @@ def test_constructor_rejects_invalid_pairs_naming_circuit():
     e = GroundSet(2)
     with pytest.raises(PerspectiveError, match=r"\{1,2\}"):
         Perspective(uniform_matroid(1, e), free_matroid(e))
+
+
+def test_quotients_by_theorem_skip_the_rank_step_pass(corpus, monkeypatch):
+    # every matroid has itself and its rank-0 matroid as quotients, so
+    # neither pair needs the pass over the rank tables
+    def refuse(matroid, quotient):
+        raise AssertionError("rank-step pass ran on a quotient by theorem")
+
+    monkeypatch.setattr("mptutte.perspective._rank_steps_dominate", refuse)
+    m, mp = fixture_matroids()
+    gapped = m.restrict(m.ground.subset({2, 4, 5}))
+    for _, p in corpus + [("gapped", Perspective(gapped, gapped))]:
+        for x in (p.matroid, p.quotient):
+            Perspective(x, x)
+            Perspective(x, rank_zero_matroid(x.ground))
+    tutte_m0_expansion(m)
+    with pytest.raises(AssertionError, match="rank-step pass"):
+        Perspective(m, mp)
 
 
 def test_reversed_pair_is_not_a_perspective(pair):

@@ -117,3 +117,12 @@ def test_fmt():
     e = GroundSet(5)
     assert e.fmt(e.subset({1, 3, 5})) == "{1,3,5}"
     assert e.fmt(0) == "{}"
+    named = GroundSet(3, order=(3, 1, 2), names=("a", "b", "c"))
+    assert named.fmt(named.subset({1, 3})) == "{a,c}"
+    assert GroundSet.from_order((3, 1), named.names).fmt(0b101) == "{a,c}"
+    # an element outside the ground set has no name, so it prints as its label
+    with pytest.raises(DomainError) as exc:
+        named.check_subset(0b10001)
+    assert str(exc.value) == "subset {5} contains elements outside the ground set {a,b,c}"
+    with pytest.raises(DomainError, match="2 names for 3 elements"):
+        GroundSet(3, names=("a", "b"))
