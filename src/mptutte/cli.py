@@ -18,10 +18,13 @@ to their number.  So f is injective into D, hence onto it, with inverse g.
 
 Exit codes are a contract: 0 success, 1 parse/input error (a command-line
 usage error included), 2 invalid perspective, 3 property-check failure or a
-tripped internal cross-check (ConsistencyError).
+tripped internal cross-check (ConsistencyError).  A reader closing stdout
+early (``mptutte table | head -1``) is no error: the rest is dropped silently
+and the exit code stays 0, or 3 for a failing ``check``.
 """
 
 import argparse
+import os
 import random
 import re
 import sys
@@ -251,10 +254,14 @@ def cmd_tutte(doc: InputDocument, method: str = "activities") -> str:
 def cmd_table(doc: InputDocument) -> str:
     """TSV bijection table: columns B, Int, Ext, X, Term."""
     p = document_perspective(doc)
+    fmt = doc.ground.fmt
+    terms = {}  # exponent triple -> its term; a table has few distinct triples
     lines = ["B\tInt\tExt\tX\tTerm"]
     for row in bijection_table(p):
-        sets = map(doc.ground.fmt, (row.b, row.internal, row.external, row.x))
-        lines.append("\t".join((*sets, str(Poly.monomial(*row.monomial)))))
+        if row.monomial not in terms:
+            terms[row.monomial] = str(Poly.monomial(*row.monomial))
+        lines.append(f"{fmt(row.b)}\t{fmt(row.internal)}\t{fmt(row.external)}\t{fmt(row.x)}\t"
+                     f"{terms[row.monomial]}")
     return "\n".join(lines)
 
 
@@ -387,6 +394,7 @@ def main(argv=None) -> int:
     check_cmd.add_argument("--seed", type=int, default=0, help="seed for the random element orders")
 
     args = parser.parse_args(argv)
+    ok = True
     try:
         if args.input:
             with open(args.input, encoding="utf-8") as fh:
@@ -395,16 +403,13 @@ def main(argv=None) -> int:
             text = sys.stdin.read()
         doc = parse_input(text)
         if args.command == "tutte":
-            print(cmd_tutte(doc, args.method))
+            out = cmd_tutte(doc, args.method)
         elif args.command == "table":
-            print(cmd_table(doc))
+            out = cmd_table(doc)
         elif args.command == "compatible":
-            print(cmd_compatible(doc))
+            out = cmd_compatible(doc)
         else:
-            report, ok = cmd_check(doc, seed=args.seed)
-            print(report)
-            if not ok:
-                return 3
+            out, ok = cmd_check(doc, seed=args.seed)
     except (ParseError, AxiomError, DomainError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -414,7 +419,12 @@ def main(argv=None) -> int:
     except ConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    return 0
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:  # the reader left: what shutdown flushes goes nowhere too
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return 0 if ok else 3
 
 
 if __name__ == "__main__":

@@ -10,6 +10,11 @@ beats thrashing.
 The total order ``<`` lives on the GroundSet (as the tuple of labels in
 ascending order) and is threaded implicitly through every computation; no
 operation takes an ad-hoc comparator.
+
+Commands print a set and take its size-lex key per output row, so both are
+read from tables giving, for each byte of a mask and each of its 256 values,
+its members' names and share of the key.  Each GroundSet builds its own, for
+its order and names, on its first ``fmt`` or ``size_lex_key`` call.
 """
 
 from .errors import DomainError
@@ -30,9 +35,10 @@ class GroundSet:
     permutation of 1..n, smallest first) to change ``<``, and ``names`` (label
     e prints as names[e - 1]; equality ignores them) to print other than
     numerals.  Minors use :meth:`from_order` to keep labels and names.
+    ``fmt`` and ``size_lex_key`` read per-byte tables built on first use.
     """
 
-    __slots__ = ("order", "mask", "names")
+    __slots__ = ("order", "mask", "names", "_bytes")
 
     def __init__(self, n: int, order=None, names=None):
         if not isinstance(n, int) or n < 0:
@@ -52,6 +58,7 @@ class GroundSet:
         self.order = order
         self.mask = (1 << n) - 1
         self.names = tuple(names)
+        self._bytes = None
 
     @classmethod
     def from_order(cls, order, names=NUMERALS) -> "GroundSet":
@@ -65,6 +72,7 @@ class GroundSet:
         g = cls.__new__(cls)
         g.order = order
         g.names = names
+        g._bytes = None
         g.mask = 0
         for e in order:
             g.mask |= bit(e)
@@ -111,9 +119,26 @@ class GroundSet:
             x ^= low
         return tuple(out)
 
+    def _byte_tables(self) -> tuple:
+        """(names, keys), three 256-entry tables each, indexed by one byte of
+        a mask: its members' names, each followed by a comma (numerals when
+        unnamed), and their share of size_lex_key, |members| << n less their
+        order bits (the first table adds 2^n - 1)."""
+        names = tuple(self.names) + NUMERALS[len(self.names):]
+        n = self.size
+        order_bit = {e: 1 << (n - 1 - i) for i, e in enumerate(self.order)}
+        self._bytes = [[""], [""], [""]], [[(1 << n) - 1], [0], [0]]
+        for e in range(1, MAX_ELEMENTS + 1):  # doubling: entry v + 2^bit is entry v, then e
+            shown, keys = self._bytes[0][(e - 1) >> 3], self._bytes[1][(e - 1) >> 3]
+            name, step = names[e - 1] + ",", (1 << n) - order_bit.get(e, 0)
+            shown += [s + name for s in shown]
+            keys += [k + step for k in keys]
+        return self._bytes
+
     def fmt(self, x: int) -> str:
         """Render a mask as ``{1,3,5}``, or by its names (``{}`` when empty)."""
-        return "{" + ",".join([self.names[e - 1] for e in self.labels(x)]) + "}"
+        t0, t1, t2 = (self._bytes or self._byte_tables())[0]
+        return "{" + (t0[x & 255] + t1[x >> 8 & 255] + t2[x >> 16])[:-1] + "}"
 
     def complement(self, x: int) -> int:
         """E \\ X."""
@@ -132,10 +157,8 @@ class GroundSet:
     def size_lex_key(self, x: int) -> int:
         """Sort key giving ascending size, then lexicographic order: |X|, then
         one bit per element in `<` order, set when the element is not in X."""
-        key = x.bit_count()
-        for e in self.order:
-            key = (key << 1) | (not x >> (e - 1) & 1)
-        return key
+        t0, t1, t2 = (self._bytes or self._byte_tables())[1]
+        return t0[x & 255] + t1[x >> 8 & 255] + t2[x >> 16]
 
     def subsets(self):
         """All submasks of the ground set, in increasing numeric order."""

@@ -73,17 +73,19 @@ def tutte_rank_generating(p: Perspective) -> Poly:
             p.rank_defect(a)  # raises at the first negative defect, naming A
     if 0x80 * ones & (lanes + (64 - span_d) * ones):  # some defect(A) >= span_d
         span_d = full_m + 1  # not a perspective, but no defect exceeds r(M)
+    del ones, lanes
     width = 1 if (full_q + 1) * span_j * span_d <= 256 else 2
 
-    def wide(table):
-        out = bytearray(width * size)
-        out[::width] = table
-        return int.from_bytes(out, "little")
+    def wide(table):  # UTF-16-LE writes code point b as bytes b, 0: a 16-bit lane per byte
+        return int.from_bytes(table.decode("latin-1").encode("utf-16-le") if width == 2 else table,
+                              "little")
 
-    # ((r(M') - r_{M'}(A)) * span_j + |A| - r_M(A)) * span_d + defect(A)
-    keys = ((full_q * span_j * span_d + full_m - full_q) * wide(b"\x01" * size)
-            + span_d * wide(subset_sizes(size, p.ground.mask))
-            - (span_j * span_d - 1) * wide(rq) - (span_d + 1) * wide(rm))
+    # ((r(M') - r_{M'}(A)) * span_j + |A| - r_M(A)) * span_d + defect(A), one
+    # table at a time: beside the sum, only one widened table and its multiple
+    keys = (full_q * span_j * span_d + full_m - full_q) * wide(b"\x01" * size)
+    keys += span_d * wide(subset_sizes(size, p.ground.mask))
+    keys -= (span_j * span_d - 1) * wide(rq)
+    keys -= (span_d + 1) * wide(rm)
     # lanes in native byte order, so the cast reads each key
     counts = Counter(memoryview(keys.to_bytes(width * size, sys.byteorder)).cast("BH"[width - 1]))
     xm1 = [power.terms().items() for power in (X - 1).powers(full_q)]

@@ -7,13 +7,14 @@ definitions, scanning the circuit families of the matroid and its dual or
 all subsets; rank_generating is the corank-nullity sum as the one loop
 over the subsets that the whole-table tutte_rank_generating replaced, and
 m0_expansion is the per-subset (x-1)-power loop that tutte_m0_expansion
-replaced, on this module's circuit-scan is_compatible.  A
-matroid's bases and circuits are read off its rank table, so the scans
-that built the table and the families before it are kept here too
-(greedy_ranks, circuits_from_bases, graph_bases, and the minor and dual
-tables built from independence flags): test_construction checks the
-tables, the bases and the circuits against them, and the oracle's other
-scans then share no code with the lookups they check.
+replaced, on this module's circuit-scan is_compatible; fmt and
+size_lex_key are the per-element loops that GroundSet's byte tables
+replaced.  A matroid's bases and circuits are read off its rank table,
+so the scans that built the table and the families before it are kept
+here too (greedy_ranks, circuits_from_bases, graph_bases, and the minor
+and dual tables built from independence flags): test_construction checks
+the tables, the bases and the circuits against them, and the oracle's
+other scans then share no code with the lookups they check.
 """
 
 from array import array
@@ -313,3 +314,17 @@ def _powers(base: Poly, up_to: int) -> list:
     for _ in range(up_to):
         out.append(out[-1] * base)
     return out
+
+
+def fmt(ground, x: int) -> str:
+    """Render a mask as ``{1,3,5}``, or by its names (``{}`` when empty)."""
+    return "{" + ",".join([ground.names[e - 1] for e in ground.labels(x)]) + "}"
+
+
+def size_lex_key(ground, x: int) -> int:
+    """Sort key giving ascending size, then lexicographic order: |X|, then
+    one bit per element in `<` order, set when the element is not in X."""
+    key = x.bit_count()
+    for e in ground.order:
+        key = (key << 1) | (not x >> (e - 1) & 1)
+    return key

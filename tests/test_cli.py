@@ -1,6 +1,9 @@
 import dataclasses
 import io
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -431,3 +434,32 @@ def test_main_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(U12_DOC))
     assert main(["tutte"]) == 0
     assert capsys.readouterr().out.strip() == "x + y"
+
+
+def _closed_pipe() -> int:
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("command", ["tutte", "table", "compatible", "check"])
+def test_closed_stdout_exits_0_without_a_message(command):
+    # even a short output fails once flushed, so this needs no large table
+    write = _closed_pipe()
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mptutte", command,
+                               "--input", str(DATA / "two_triangles.txt")],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_closed_stdout_keeps_a_failing_checks_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "backward", lambda p, x: x)
+    with open(_closed_pipe(), "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["check", "--input", str(DATA / "two_triangles.txt")]) == 3
+    assert capsys.readouterr().err == ""
