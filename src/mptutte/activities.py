@@ -29,6 +29,13 @@ it is externally active.  Because M' is a quotient of M, an element spanned
 by Y in M is spanned by Y + below(e) in M', so some step is always open and
 every prefix kept ends in a valid set: the pass does O(n) lookups per valid
 set instead of testing all 2^n subsets.
+
+A prefix's state is one int.  With n the bit length of the ground mask, it
+holds B in bits 0..n-1, Int(B) from bit n, Ext(B) from bit 2n, and from bit
+3n the counts |Int| + 32|Ext| + 1024|B|.  A count is at most MAX_ELEMENTS =
+24, so a 5-bit field holds it without carrying into the next.  Each branch
+of a level adds one constant to the state, and the polynomial counts the
+top field alone.
 """
 
 from .matroid import Matroid
@@ -56,27 +63,41 @@ def activities(quotient: Matroid, matroid: Matroid, x: int) -> tuple:
 
 
 def valid_sets_with_activities(quotient: Matroid, matroid: Matroid) -> list:
-    """(B, Int_{quotient}(B), Ext_{matroid}(B)) as masks for every B independent
-    in `matroid` and spanning in `quotient`, in no particular order."""
+    """One packed int per B independent in `matroid` and spanning in
+    `quotient`, in no particular order: with n the ground mask's bit length,
+    B | Int_{quotient}(B) << n | Ext_{matroid}(B) << 2n | counts << 3n, where
+    counts = |Int| + 32|Ext| + 1024|B|."""
     ground = matroid.ground
     rq, rm = quotient.ranks, matroid.ranks
     full = rq[ground.mask]
+    low, n = ground.mask, ground.mask.bit_length()
     below = ground.mask
-    states = [(0, 0, 0)]
+    states = [0]
     for e in reversed(ground.order):
         b = 1 << (e - 1)
         below ^= b
+        # what each branch adds: e externally active, e internally active
+        # (it joins B), or e joining B by choice
+        external = (b << 2 * n) + (32 << 3 * n)
+        internal = b + (b << n) + (1025 << 3 * n)
+        joined = b + (1024 << 3 * n)
         grown = []
-        for y, internal, external in states:
+        for s in states:
+            y = s & low
             if rm[y | b] == rm[y]:
-                grown.append((y, internal, external | b))
+                grown.append(s + external)
             elif rq[y | below] < full:
-                grown.append((y | b, internal | b, external))
+                grown.append(s + internal)
             else:
-                grown.append((y, internal, external))
-                grown.append((y | b, internal, external))
+                grown.append(s)
+                grown.append(s + joined)
         states = grown
     return states
+
+
+def exponents(counts: int, rank: int) -> tuple:
+    """(|Int|, |Ext|, rank - |B|) from a state's counts field."""
+    return counts & 31, counts >> 5 & 31, rank - (counts >> 10)
 
 
 def externally_active(m: Matroid, x: int) -> int:

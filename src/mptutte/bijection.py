@@ -12,20 +12,21 @@ minor is built.
 
 bijection_table lays out one row per valid B, ordered by size then
 lexicographically, with the monomial exponents
-(|Int|, |Ext|, rank defect) that drive the trivariate polynomial.
+(|Int|, |Ext|, rank defect) that drive the trivariate polynomial.  A row is
+a BijectionRow, a NamedTuple (b, internal, external, x, monomial) of masks
+and that triple: immutable and hashable, and built as cheaply as a tuple.
+Rows with one triple share it.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .activities import activities, valid_sets_with_activities
+from .activities import activities, exponents, valid_sets_with_activities
 from .compatible import in_family
 from .errors import DomainError
 from .perspective import Perspective
-from .setcore import bit
 
 
-@dataclass(frozen=True)
-class BijectionRow:
+class BijectionRow(NamedTuple):
     """One table row: B with its activities, image X, and monomial exponents."""
 
     b: int
@@ -60,7 +61,7 @@ def backward(p: Perspective, x: int) -> int:
     rest = x
     span = x
     for e in p.ground.order:
-        b = bit(e)
+        b = 1 << (e - 1)  # bit(e), inlined as in activities
         if b & x:
             if rm[rest ^ b] == target:
                 rest ^= b
@@ -71,19 +72,13 @@ def backward(p: Perspective, x: int) -> int:
 
 def bijection_table(p: Perspective) -> list:
     """Rows for every valid B, sorted by (size, lex)."""
-    full = p.matroid.rank()
+    full, low, n = p.matroid.rank(), p.ground.mask, p.ground.mask.bit_length()
+    key = p.ground.size_lex_key
+    monomials = {}  # counts field -> exponent triple; a table has few distinct ones
     rows = []
-    for b, internal, external in sorted(valid_sets_with_activities(p.quotient, p.matroid),
-                                        key=lambda row: p.ground.size_lex_key(row[0])):
-        x = (b & ~internal) | external
-        assert internal & ~b == 0 and external & b == 0
-        rows.append(
-            BijectionRow(
-                b=b,
-                internal=internal,
-                external=external,
-                x=x,
-                monomial=(internal.bit_count(), external.bit_count(), full - b.bit_count()),
-            )
-        )
+    for s in sorted(valid_sets_with_activities(p.quotient, p.matroid), key=lambda s: key(s & low)):
+        b, internal, external, k = s & low, s >> n & low, s >> 2 * n & low, s >> 3 * n
+        if k not in monomials:
+            monomials[k] = exponents(k, full)
+        rows.append(BijectionRow(b, internal, external, b ^ internal | external, monomials[k]))
     return rows

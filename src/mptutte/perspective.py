@@ -92,7 +92,8 @@ class Perspective:
     def independent_spanning_sets(self) -> list:
         """All sets independent in `matroid` and spanning in `quotient`,
         sorted by size then lexicographically."""
-        out = [b for b, _, _ in valid_sets_with_activities(self.quotient, self.matroid)]
+        low = self.ground.mask
+        out = [s & low for s in valid_sets_with_activities(self.quotient, self.matroid)]
         out.sort(key=self.ground.size_lex_key)
         return out
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import os
 import random
@@ -192,7 +191,7 @@ def test_cmd_check_names_both_rows_of_an_interval_overlap(monkeypatch):
 
     def widen(rows):
         i = next(i for i, row in enumerate(rows) if row.b == b35)
-        rows[i] = dataclasses.replace(rows[i], external=doc.ground.subset({2}))
+        rows[i] = rows[i]._replace(external=doc.ground.subset({2}))
         assert any(row.b == b235 for row in rows[i + 1:])
 
     _patched_rows(monkeypatch, widen)
@@ -251,7 +250,7 @@ def test_check_maps_a_backward_domain_error_to_its_fail_line(tmp_path, capsys, m
     # refuses {2}, and the refusal is the round-trip check's failure
     real = cli.compatible_family
     monkeypatch.setattr(cli, "compatible_family", lambda p: real(p) + [0b10])
-    _patched_rows(monkeypatch, lambda rows: rows.__setitem__(0, dataclasses.replace(rows[0], x=0b10)))
+    _patched_rows(monkeypatch, lambda rows: rows.__setitem__(0, rows[0]._replace(x=0b10)))
     lines = _check_fails(tmp_path, capsys)
     assert ROUND_TRIPS + "{2} is not in the compatible family" in lines
     # the other checks still run and report

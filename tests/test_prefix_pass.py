@@ -5,7 +5,7 @@ tutte_activities and bijection_table) and compatible_family grow their
 families one prefix at a time.  Here they are compared with a filter over
 every subset: brute-force ranks on the corpus, the rank tables on the larger
 matroids, and the per-subset activity pass (activities, in_family) for the
-activities and for D.
+activities, their exponent counts and D.
 """
 
 import random
@@ -17,14 +17,18 @@ from mptutte import (
     GroundSet,
     Multigraph,
     Perspective,
+    Poly,
+    bijection_table,
     compatible_family,
     cycle_matroid,
     identify_vertices,
     rank_zero_matroid,
+    tutte_activities,
     uniform_matroid,
 )
 from mptutte.activities import activities, valid_sets_with_activities
 from mptutte.compatible import in_family
+from mptutte.setcore import MAX_ELEMENTS
 from corpus import ladder
 
 
@@ -36,13 +40,20 @@ def wheel(spokes):
     return Multigraph(vertices=vertices, edges=tuple(edges))
 
 
+def packed(p, b):
+    """The state the prefix pass must hold for B: B, Int << n, Ext << 2n and
+    |Int| + 32|Ext| + 1024|B| << 3n, the masks from the per-subset pass."""
+    n = p.ground.mask.bit_length()
+    internal, external = activities(p.quotient, p.matroid, b)
+    counts = internal.bit_count() + 32 * external.bit_count() + 1024 * b.bit_count()
+    return b | internal << n | external << 2 * n | counts << 3 * n
+
+
 def assert_passes_match_scans(p, valid, name):
     """`valid`: the valid sets, sorted by size then lex, from a subset filter."""
     assert p.independent_spanning_sets() == valid, name
     rows = valid_sets_with_activities(p.quotient, p.matroid)
-    assert sorted(b for b, _, _ in rows) == sorted(valid), name
-    for b, internal, external in rows:
-        assert (internal, external) == activities(p.quotient, p.matroid, b), (name, b)
+    assert sorted(rows) == sorted(packed(p, b) for b in valid), name
     assert compatible_family(p) == [x for x in p.ground.subsets() if in_family(p, x)], name
 
 
@@ -82,3 +93,16 @@ def test_passes_match_scans_beyond_the_corpus(which):
         valid.sort(key=q.ground.size_lex_key)
         assert len(valid) > 300
         assert_passes_match_scans(q, valid, (which, q.ground.order))
+
+
+def test_packed_counts_reach_the_size_limit():
+    # (Free, Free): the one valid set E is all internally active; (U0, U0):
+    # the one valid set {} leaves every element externally active
+    ground = GroundSet(MAX_ELEMENTS)
+    loops = rank_zero_matroid(ground)
+    for m, b, term in ((loops.dual(), ground.mask, (MAX_ELEMENTS, 0, 0)),
+                       (loops, 0, (0, MAX_ELEMENTS, 0))):
+        p = Perspective(m, m)
+        assert valid_sets_with_activities(m, m) == [packed(p, b)]
+        assert tutte_activities(p) == Poly.monomial(*term)
+        assert [(row.b, row.monomial) for row in bijection_table(p)] == [(b, term)]
