@@ -34,9 +34,12 @@ A prefix's state is one int.  With n the bit length of the ground mask, it
 holds B in bits 0..n-1, Int(B) from bit n, Ext(B) from bit 2n, and from bit
 3n the counts |Int| + 32|Ext| + 1024|B|.  A count is at most MAX_ELEMENTS =
 24, so a 5-bit field holds it without carrying into the next.  Each branch
-of a level adds one constant to the state, and the polynomial counts the
-top field alone.
+of a level adds one constant to the state.  Only this module reads the
+layout: valid_sets gives the bare B's, monomial_counts counts the top field
+alone and decodes each distinct value once, and unpacked gives every field.
 """
+
+from collections import Counter
 
 from .matroid import Matroid
 
@@ -98,6 +101,31 @@ def valid_sets_with_activities(quotient: Matroid, matroid: Matroid) -> list:
 def exponents(counts: int, rank: int) -> tuple:
     """(|Int|, |Ext|, rank - |B|) from a state's counts field."""
     return counts & 31, counts >> 5 & 31, rank - (counts >> 10)
+
+
+def valid_sets(quotient: Matroid, matroid: Matroid) -> list:
+    """Every B independent in `matroid` and spanning in `quotient`, unordered."""
+    low = matroid.ground.mask
+    return [s & low for s in valid_sets_with_activities(quotient, matroid)]
+
+
+def monomial_counts(quotient: Matroid, matroid: Matroid) -> list:
+    """((|Int|, |Ext|, r(matroid) - |B|), number of valid B with it) pairs."""
+    shift, rank = 3 * matroid.ground.mask.bit_length(), matroid.rank()
+    counts = Counter(s >> shift for s in valid_sets_with_activities(quotient, matroid))
+    return [(exponents(k, rank), c) for k, c in counts.items()]
+
+
+def unpacked(quotient: Matroid, matroid: Matroid):
+    """(B, Int(B), Ext(B), (|Int|, |Ext|, r(matroid) - |B|)) for every valid
+    B, in no particular order."""
+    low, n, rank = matroid.ground.mask, matroid.ground.mask.bit_length(), matroid.rank()
+    monomials = {}  # counts field -> triple, shared by the rows that have it
+    for s in valid_sets_with_activities(quotient, matroid):
+        k = s >> 3 * n
+        if k not in monomials:
+            monomials[k] = exponents(k, rank)
+        yield s & low, s >> n & low, s >> 2 * n & low, monomials[k]
 
 
 def externally_active(m: Matroid, x: int) -> int:

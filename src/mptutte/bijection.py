@@ -15,12 +15,11 @@ lexicographically, with the monomial exponents
 (|Int|, |Ext|, rank defect) that drive the trivariate polynomial.  A row is
 a BijectionRow, a NamedTuple (b, internal, external, x, monomial) of masks
 and that triple: immutable and hashable, and built as cheaply as a tuple.
-Rows with one triple share it.
 """
 
 from typing import NamedTuple
 
-from .activities import activities, exponents, valid_sets_with_activities
+from .activities import activities, unpacked
 from .compatible import in_family
 from .errors import DomainError
 from .perspective import Perspective
@@ -72,13 +71,8 @@ def backward(p: Perspective, x: int) -> int:
 
 def bijection_table(p: Perspective) -> list:
     """Rows for every valid B, sorted by (size, lex)."""
-    full, low, n = p.matroid.rank(), p.ground.mask, p.ground.mask.bit_length()
     key = p.ground.size_lex_key
-    monomials = {}  # counts field -> exponent triple; a table has few distinct ones
-    rows = []
-    for s in sorted(valid_sets_with_activities(p.quotient, p.matroid), key=lambda s: key(s & low)):
-        b, internal, external, k = s & low, s >> n & low, s >> 2 * n & low, s >> 3 * n
-        if k not in monomials:
-            monomials[k] = exponents(k, full)
-        rows.append(BijectionRow(b, internal, external, b ^ internal | external, monomials[k]))
+    rows = [BijectionRow(b, internal, external, b & ~internal | external, monomial)
+            for b, internal, external, monomial in unpacked(p.quotient, p.matroid)]
+    rows.sort(key=lambda row: key(row[0]))
     return rows

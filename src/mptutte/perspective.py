@@ -19,7 +19,7 @@ the condition mentions the order, so reordered keeps both tables and the
 validation when it changes the order.
 """
 
-from .activities import valid_sets_with_activities
+from .activities import valid_sets
 from .errors import DomainError, PerspectiveError
 from .matroid import Matroid, lanes_without
 from .setcore import GroundSet, bit
@@ -92,8 +92,7 @@ class Perspective:
     def independent_spanning_sets(self) -> list:
         """All sets independent in `matroid` and spanning in `quotient`,
         sorted by size then lexicographically."""
-        low = self.ground.mask
-        out = [s & low for s in valid_sets_with_activities(self.quotient, self.matroid)]
+        out = valid_sets(self.quotient, self.matroid)
         out.sort(key=self.ground.size_lex_key)
         return out
 

@@ -26,7 +26,7 @@ is x^0 y^r*(M|X) z^r(M/X), so z -> x - 1 gives it.
 import sys
 from collections import Counter
 
-from .activities import exponents, valid_sets_with_activities
+from .activities import monomial_counts
 from .compatible import compatible_family
 from .errors import ConsistencyError
 from .matroid import Matroid, rank_zero_matroid, subset_sizes
@@ -37,9 +37,7 @@ from .polynomial import Poly, X, Y, Z
 def tutte_activities(p: Perspective) -> Poly:
     """Sum of x^|Int| y^|Ext| z^defect over valid B; B is independent in M
     and spanning in M', so its rank defect is r(M) - |B|."""
-    full, shift = p.matroid.rank(), 3 * p.ground.mask.bit_length()
-    counts = Counter(s >> shift for s in valid_sets_with_activities(p.quotient, p.matroid))
-    return Poly((exponents(k, full), c) for k, c in counts.items())
+    return Poly(monomial_counts(p.quotient, p.matroid))
 
 
 def tutte_compatible(p: Perspective) -> Poly:
