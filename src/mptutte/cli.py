@@ -28,6 +28,7 @@ import os
 import random
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from .bijection import backward, bijection_table
@@ -81,17 +82,12 @@ def parse_input(text: str) -> InputDocument:
             raise ParseError("'elements:' must come before this line", no)
 
     def parse_set(token, no):
-        members = []
-        body = token.strip()
-        if body:
-            for part in body.split(","):
-                part = part.strip()
-                if part not in label_index:
-                    raise ParseError(f"unknown element {part!r}", no)
-                members.append(label_index[part])
         mask = 0
-        for e in members:
-            mask |= 1 << (e - 1)
+        for part in token.split(",") if token.strip() else ():
+            part = part.strip()
+            if part not in label_index:
+                raise ParseError(f"unknown element {part!r}", no)
+            mask |= 1 << (label_index[part] - 1)
         return mask
 
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -146,7 +142,7 @@ def parse_input(text: str) -> InputDocument:
             m = re.fullmatch(r"graph\s+(\S+)\s+edges", head.strip())
             if not m or not sep:
                 raise ParseError("expected 'graph <name> edges: ...'", no)
-            edges = []
+            edges = {}  # element -> its edge; each element labels exactly one
             for token in rest.split():
                 lbl, eq, ends = token.partition("=")
                 u, dash, v = ends.partition("-")
@@ -154,8 +150,13 @@ def parse_input(text: str) -> InputDocument:
                     raise ParseError(f"bad edge {token!r}; expected label=u-v", no)
                 if lbl not in label_index:
                     raise ParseError(f"unknown element {lbl!r}", no)
-                edges.append((label_index[lbl], u, v))
-            _add_stanza(stanzas, Stanza("graph", m.group(1), tuple(edges), no), no)
+                if label_index[lbl] in edges:
+                    raise ParseError(f"element {lbl!r} labels more than one edge", no)
+                edges[label_index[lbl]] = (label_index[lbl], u, v)
+            missing = [lbl for lbl in labels if label_index[lbl] not in edges]
+            if missing:
+                raise ParseError(f"elements without an edge: {' '.join(missing)}", no)
+            _add_stanza(stanzas, Stanza("graph", m.group(1), tuple(edges.values()), no), no)
         elif keyword == "identify":
             need_elements(no)
             if identify_pairs is not None:
@@ -320,7 +321,7 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         if missing:
             raise _CheckFailure(f"{missing} subsets not covered by any interval")
 
-    base = tutte_activities(p)
+    base = Poly(Counter(row.monomial for row in rows))
 
     def agreement():
         c = tutte_compatible(p)

@@ -5,7 +5,9 @@ parallel edges are allowed and matter: a loop is a one-element circuit, a
 parallel pair a two-element circuit.  A cycle matroid is built from its
 cycle space, whose fundamental cycles one union-find pass finds.
 Identifying vertices coarsens the cycle structure, and (cycle_matroid(G),
-cycle_matroid(G with identified vertices)) is always a perspective.
+cycle_matroid(G with identified vertices)) is always a perspective.  A
+merged vertex keeps the name of its class's first member, never a new name
+that another vertex might already hold.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from itertools import accumulate, chain
 from operator import xor
 
 from .errors import DomainError
-from .matroid import Matroid, _closure, _rank_table
+from .matroid import Matroid
 from .setcore import GroundSet, bit
 
 
@@ -75,7 +77,6 @@ def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
         ground = GroundSet(m)
     elif ground.size != m:
         raise DomainError(f"ground set has {ground.size} elements but the graph has {m} edges")
-    n = ground.mask.bit_length()
     index = {v: k for k, v in enumerate(g.vertices)}
     parent = list(range(len(index)))
     path = [0] * len(index)
@@ -99,25 +100,21 @@ def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
             path[ru] = pu ^ pv ^ bit(label)
     # Gray code: the j-th nonzero vector adds the cycle at j's lowest set bit
     steps = (cycles[(j & -j).bit_length() - 1] for j in range(1, 1 << len(cycles)))
-    dependent = _closure(n, chain(loops, accumulate(steps, xor)), up=True)
-    return Matroid._from_table(ground, _rank_table(n, ~dependent))
+    return Matroid._from_dependent(ground, chain(loops, accumulate(steps, xor)))
 
 
 def identify_vertices(g: Multigraph, classes) -> Multigraph:
     """Merge each class of the given vertex partition into one vertex.
 
-    Edge labels survive; an edge inside a class becomes a loop.  Merged
-    vertices are named by joining the sorted class members with '+'.
+    Edge labels survive; an edge inside a class becomes a loop.  Each class
+    becomes the vertex named by its first member, a name no vertex of
+    another class has.
     """
     classes = [tuple(c) for c in classes]
     flat = [v for c in classes for v in c]
     if sorted(flat) != sorted(g.vertices) or len(set(flat)) != len(flat):
         raise DomainError("classes do not partition the vertex set")
-    name = {}
-    for c in classes:
-        merged = "+".join(sorted(c)) if len(c) > 1 else c[0]
-        for v in c:
-            name[v] = merged
+    name = {v: c[0] for c in classes for v in c}
     return Multigraph(
         vertices=tuple(dict.fromkeys(name[v] for v in g.vertices)),
         edges=tuple((l, name[u], name[v]) for l, u, v in g.edges),

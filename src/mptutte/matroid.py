@@ -9,18 +9,22 @@ index arithmetic (Oxley, Matroid Theory, 2.1 and 3.1):
 r_{M|X}(S) = r(S), r_{M/X}(S) = r(S + X) - r(X) and
 r*(S) = |S| - r(E) + r(E - S).
 
-Bases, circuits and graphs (graphic.cycle_matroid) first become independence
+Every input is built into its table first and checked there.  Bases,
+circuits and graphs (graphic.cycle_matroid) first become independence
 flags, an int with one byte lane per subset, 0xFF on the independent ones:
 the downward closure of the bases, or the complement of the upward closure
 of the circuits or of the cycle space.  One max-plus zeta transform turns
 the flags into the table.  Closures and transform take one big-int pass per
 element: the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto (FOCS
 2008).  A table takes O(n 2^n) time and about 9 * 2^n bytes of peak memory;
-GroundSet keeps n at most 24.
+GroundSet keeps n at most 24.  The trivial matroids need no flags: U_{k,n},
+free (k = n) and rank 0 (k = 0), are the closed form r(S) = min(|S|, k).
 
-Bases are checked for basis exchange, O(|bases|^2 * n), and circuits for the
-circuit axioms; duals, minors and graphs are matroids by theorem.  Loops and
-coloops are ordinary citizens: a rank-0 matroid is
+Bases are then checked for basis exchange, O(|bases|^2 * n), and circuits
+for the circuit axioms, each looking its sets up in the table: a k-set is a
+given basis iff its rank is k, and a set holds a given circuit iff its rank
+is below its size.  Duals, minors and graphs are matroids by theorem.  Loops
+and coloops are ordinary citizens: a rank-0 matroid is
 ``Matroid.from_bases(ground, [0])``, and from_circuits accepts singleton
 circuits.
 """
@@ -42,11 +46,11 @@ class Matroid:
         bases = tuple(sorted({ground.check_subset(b) for b in bases}))
         if not bases:
             raise AxiomError("a matroid needs at least one basis")
-        if validate:
-            _check_exchange(ground, bases)
         n = ground.mask.bit_length()
         self.ground, self.ranks = ground, _rank_table(n, _closure(n, bases, up=False))
         self._bases, self._circuits, self._dual = bases, None, None
+        if validate:
+            _check_exchange(self, bases)
 
     # -- construction ------------------------------------------------------
 
@@ -59,14 +63,19 @@ class Matroid:
     def from_circuits(cls, ground: GroundSet, circuits) -> "Matroid":
         """Matroid from its circuit family, whose upward closure is the family
         of dependent sets; the validation looks up each circuit elimination
-        there.  An empty family gives the free matroid."""
-        n = ground.mask.bit_length()
+        in the table built from it.  An empty family gives the free matroid."""
         circs = sorted({ground.check_subset(c) for c in circuits})
-        dependent = _closure(n, circs, up=True)
-        _check_circuit_axioms(ground, circs, dependent.to_bytes(1 << n, "little"))
-        m = cls._from_table(ground, _rank_table(n, ~dependent))
+        m = cls._from_dependent(ground, circs)
+        _check_circuit_axioms(m, circs)
         m._circuits = tuple(circs)
         return m
+
+    @classmethod
+    def _from_dependent(cls, ground: GroundSet, members) -> "Matroid":
+        """The matroid whose dependent sets are the upward closure of the
+        masks `members`; not validated."""
+        n = ground.mask.bit_length()
+        return cls._from_table(ground, _rank_table(n, ~_closure(n, members, up=True)))
 
     @classmethod
     def _from_table(cls, ground: GroundSet, table: bytes) -> "Matroid":
@@ -264,14 +273,15 @@ def _members(lanes: int, size: int) -> tuple:
     return tuple(m.start() for m in re.finditer(b"\xff", lanes.to_bytes(size, "little")))
 
 
-def _check_exchange(ground: GroundSet, bases: tuple):
-    """Raise AxiomError unless the sorted family `bases` shares one size and
-    satisfies basis exchange, checked on every ordered pair."""
-    fmt = ground.fmt
+def _check_exchange(m: Matroid, bases: tuple):
+    """Raise AxiomError unless the sorted family `bases`, from which m was
+    built, shares one size and satisfies basis exchange, checked on every
+    ordered pair.  Once all have size k, a k-set is a basis iff its rank is k."""
+    fmt = m.ground.fmt
     if len({b.bit_count() for b in bases}) > 1:
         small, big = min(bases, key=int.bit_count), max(bases, key=int.bit_count)
         raise AxiomError(f"bases must share one cardinality; {fmt(small)} and {fmt(big)} differ")
-    in_bases = frozenset(bases)
+    ranks, k = m.ranks, bases[0].bit_count()
     for b1 in bases:
         for b2 in bases:
             rest = b1 & ~b2
@@ -282,20 +292,20 @@ def _check_exchange(ground: GroundSet, bases: tuple):
                 while swap_in:
                     f = swap_in & -swap_in
                     swap_in ^= f
-                    if (b1 ^ e) | f in in_bases:
+                    if ranks[(b1 ^ e) | f] == k:
                         break
                 else:
                     raise AxiomError(
                         "basis exchange fails: no replacement for element "
-                        f"{ground.names[e.bit_length() - 1]} of {fmt(b1)} against {fmt(b2)}"
+                        f"{m.ground.names[e.bit_length() - 1]} of {fmt(b1)} against {fmt(b2)}"
                     )
 
 
-def _check_circuit_axioms(ground: GroundSet, circs, dependent: bytes):
-    """Raise AxiomError unless `circs` (sorted masks) is a nonempty-set
-    antichain with circuit elimination.  `dependent` is nonzero at index S for
-    each S containing some member, so "a circuit lies inside U" is one lookup."""
-    fmt = ground.fmt
+def _check_circuit_axioms(m: Matroid, circs):
+    """Raise AxiomError unless `circs` (sorted masks), whose upward closure m
+    was built from, is a nonempty-set antichain with circuit elimination.
+    "A circuit lies inside U" is the one lookup r(U) < |U|."""
+    fmt = m.ground.fmt
     if circs and circs[0] == 0:  # sorted, so the empty set comes first
         raise AxiomError("the empty set cannot be a circuit")
     for c1, c2 in combinations(circs, 2):
@@ -307,29 +317,28 @@ def _check_circuit_axioms(ground: GroundSet, circs, dependent: bytes):
             e = common & -common
             common ^= e
             union = (c1 | c2) ^ e
-            if not dependent[union]:
+            if m.ranks[union] == union.bit_count():
                 raise AxiomError(
                     "circuit elimination fails: no circuit inside "
-                    f"{fmt(union)} (from {fmt(c1)}, {fmt(c2)} dropping {ground.names[e.bit_length() - 1]})"
+                    f"{fmt(union)} (from {fmt(c1)}, {fmt(c2)} dropping {m.ground.names[e.bit_length() - 1]})"
                 )
 
 
 # -- small factories used throughout the tests and the corpus ---------------
 
 def free_matroid(ground: GroundSet) -> Matroid:
-    """Every subset independent: the single basis is E."""
-    return Matroid(ground, [ground.mask], validate=False)
+    """Every subset independent: U_{n,n}."""
+    return uniform_matroid(ground.size, ground)
 
 
 def rank_zero_matroid(ground: GroundSet) -> Matroid:
-    """Every element a loop: the single basis is the empty set."""
-    return Matroid(ground, [0], validate=False)
+    """Every element a loop: U_{0,n}."""
+    return uniform_matroid(0, ground)
 
 
 def uniform_matroid(k: int, ground: GroundSet) -> Matroid:
-    """U_{k,n}: the bases are all k-subsets."""
-    n = ground.size
-    if not 0 <= k <= n:
-        raise DomainError(f"uniform rank {k} out of range 0..{n}")
-    bases = [sum(map(bit, combo)) for combo in combinations(ground.labels(ground.mask), k)]
-    return Matroid(ground, bases, validate=False)
+    """U_{k,n}, whose bases are all k-subsets, as the table r(S) = min(|S|, k)."""
+    if not 0 <= k <= ground.size:
+        raise DomainError(f"uniform rank {k} out of range 0..{ground.size}")
+    sizes = subset_sizes(1 << ground.mask.bit_length())
+    return Matroid._from_table(ground, sizes.translate(bytes(min(v, k) for v in range(256))))

@@ -287,17 +287,33 @@ def test_library_errors_name_the_document_labels(tmp_path, capsys, stanzas, code
     assert capsys.readouterr() == ("", f"error: {message.translate(numerals)}\n")
 
 
+@pytest.mark.parametrize("edges, message", [
+    ("a=x-y c=y-z", "elements without an edge: b"),
+    ("a=x-y", "elements without an edge: b c"),
+    ("a=x-y b=y-z c=z-x a=x-x", "element 'a' labels more than one edge"),
+])
+def test_graph_label_errors_name_the_document_labels(tmp_path, capsys, edges, message):
+    f = tmp_path / "doc.txt"
+    f.write_text(f"elements: a b c\n# the graph\ngraph G edges: {edges}\n")
+    assert main(["tutte", "--input", str(f)]) == 1
+    assert capsys.readouterr() == ("", f"error: line 3: {message}\n")
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_identify_keeps_a_vertex_named_like_a_merged_class(capsys, method):
+    # vertex a+b is not the class {a, b}: joining class names made it one
+    doc = str(DATA / "identify_collision.txt")
+    assert main(["tutte", "--method", method, "--input", doc]) == 0
+    assert capsys.readouterr() == ((DATA / "identify_collision_tutte.txt").read_text(), "")
+
+
 @pytest.mark.parametrize("elements, names", [("a b c d", "abcd"), ("4", "1234")])
 def test_check_order_invariance_failure_names_the_order(tmp_path, capsys, monkeypatch,
                                                         elements, names):
-    # every reordered perspective gets a polynomial one too big
-    real, calls = cli.tutte_activities, []
-
-    def skewed(p):
-        calls.append(p)
-        return real(p) + (1 if len(calls) > 1 else 0)
-
-    monkeypatch.setattr(cli, "tutte_activities", skewed)
+    # every reordered perspective gets a polynomial one too big; check's own
+    # polynomial comes from the table rows
+    real = cli.tutte_activities
+    monkeypatch.setattr(cli, "tutte_activities", lambda p: real(p) + 1)
     lines = _check_fails(tmp_path, capsys, f"elements: {elements}\nmatroid M bases: {{{names[0]}}}\n")
     perm = random.Random(0).sample(range(1, 5), 4)
     shown = ", ".join(names[e - 1] for e in perm)
@@ -308,7 +324,7 @@ def test_check_order_invariance_failure_names_the_order(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("name, code", [
-    ("labelled_bad_bases", 1), ("non_perspective", 2), ("oversized", 1),
+    ("labelled_bad_bases", 1), ("non_perspective", 2), ("oversized", 1), ("graph_missing_edge", 1),
 ])
 def test_main_prints_the_golden_error_line(capsys, name, code):
     assert main(["tutte", "--input", str(DATA / f"{name}.txt")]) == code

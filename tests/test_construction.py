@@ -19,7 +19,9 @@ from mptutte import (
     Multigraph,
     bit,
     cycle_matroid,
+    free_matroid,
     identify_vertices,
+    rank_zero_matroid,
     uniform_matroid,
 )
 from corpus import corpus_matroids, ladder, slot_canonical_graphs
@@ -98,6 +100,20 @@ def test_uniform_and_ladder_tables_match_the_replaced_scans():
     m = cycle_matroid(ladder(12))
     assert Matroid(m.ground, m.bases, validate=False).circuits == oracle.circuits_from_bases(
         m.ground, m.bases)
+
+
+def test_closed_form_factories_match_the_basis_built_tables():
+    # n <= 8 on 1..n, and on ground sets with gaps below, between and above
+    grounds = [GroundSet(n) for n in range(9)]
+    grounds += [GroundSet.from_order((2, 3, 5, 6, 7)), GroundSet.from_order((8, 6, 3))]
+    for ground in grounds:
+        for k in range(ground.size + 1):
+            combos = [sum(map(bit, c)) for c in itertools.combinations(ground.order, k)]
+            u = uniform_matroid(k, ground)
+            assert u.ranks == Matroid(ground, combos, validate=False).ranks, (ground, k)
+            assert u.bases == tuple(sorted(combos)), (ground, k)
+        assert free_matroid(ground) == Matroid(ground, [ground.mask], validate=False)
+        assert rank_zero_matroid(ground) == Matroid(ground, [0], validate=False)
 
 
 def test_graph_tables_and_bases_match_the_candidate_scan():

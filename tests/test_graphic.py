@@ -116,6 +116,16 @@ def test_identify_everything_gives_rank_zero():
     assert len(m.circuits) == 5
 
 
+def test_identify_names_each_class_by_a_member():
+    # a vertex already named like a joined class must stay its own vertex
+    g = Multigraph(vertices=("a", "b", "a+b", "c"),
+                   edges=((1, "a", "b"), (2, "b", "a+b"), (3, "a+b", "c")))
+    merged = identify_vertices(g, components(g.vertices, [("a", "b")]))
+    assert merged.vertices == ("a", "a+b", "c")
+    assert merged.edges == ((1, "a", "a"), (2, "a", "a+b"), (3, "a+b", "c"))
+    assert circuit_sets(cycle_matroid(merged)) == [[1]]
+
+
 def test_identify_rejects_non_partition():
     with pytest.raises(DomainError):
         identify_vertices(TWO_TRIANGLES, [("a", "b"), ("b", "c"), ("d",)])
