@@ -24,6 +24,7 @@ and the exit code stays 0, or 3 for a failing ``check``.
 """
 
 import argparse
+import functools
 import os
 import random
 import re
@@ -371,7 +372,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call of main."""
     parser = _ArgumentParser(
         prog="mptutte",
         description="Tutte polynomials of matroid perspectives: "
@@ -393,8 +396,13 @@ def main(argv=None) -> int:
     add("compatible", "print the compatible family, one set per line")
     check_cmd = add("check", "run the property suite against the input")
     check_cmd.add_argument("--seed", type=int, default=0, help="seed for the random element orders")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one command; returns its exit code.  main may be called repeatedly in
+    one process: each call parses with the one shared parser and keeps no state."""
+    args = _parser().parse_args(argv)
     ok = True
     try:
         if args.input:

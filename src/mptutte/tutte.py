@@ -25,6 +25,7 @@ is x^0 y^r*(M|X) z^r(M/X), so z -> x - 1 gives it.
 
 import sys
 from collections import Counter
+from functools import cache
 
 from .activities import monomial_counts
 from .compatible import compatible_family
@@ -57,7 +58,9 @@ def tutte_rank_generating(p: Perspective) -> Poly:
     triple, linear in r_{M'}(A), r_M(A) and |A|; the keys are counted in C and
     each distinct one is expanded once.  Lanes are bytes while the keys fit
     one, else 16 bits.  A missing position of a gapped ground set is a loop
-    left out of |A|, so each key counts 2^gaps times.
+    left out of |A|, so each key counts 2^gaps times.  The rows of
+    (x-1)^0..(x-1)^r(M') and (y-1)^0..(y-1)^n are built once per exponent
+    per process (_power_rows).
     """
     rm, rq = p.matroid.ranks, p.quotient.ranks
     full_m, full_q, n = p.matroid.rank(), p.quotient.rank(), p.ground.size
@@ -85,12 +88,19 @@ def tutte_rank_generating(p: Perspective) -> Poly:
     keys -= (span_d + 1) * wide(rm)
     # lanes in native byte order, so the cast reads each key
     counts = Counter(memoryview(keys.to_bytes(width * size, sys.byteorder)).cast("BH"[width - 1]))
-    xm1 = [power.terms().items() for power in (X - 1).powers(full_q)]
-    ym1 = [power.terms().items() for power in (Y - 1).powers(n)]
+    xm1, ym1 = _power_rows(X - 1, full_q), _power_rows(Y - 1, n)
     return Poly(((a, b, key % span_d), u * v * (count * 2**n // size))
                 for key, count in counts.items()
                 for (a, _, _), u in xm1[key // (span_j * span_d)]
                 for (_, b, _), v in ym1[key // span_d % span_j])
+
+
+@cache
+def _power_rows(base: Poly, k: int) -> tuple:
+    """The terms of base^0..base^k from Poly.powers, one tuple of
+    (exponent triple, coefficient) pairs per power; immutable, so callers
+    share one memo."""
+    return tuple(tuple(power.terms().items()) for power in base.powers(k))
 
 
 def tutte_bivariate_crapo(m: Matroid) -> Poly:

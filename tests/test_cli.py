@@ -451,6 +451,39 @@ def test_main_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "x + y"
 
 
+def _run_main(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return (code, *capsys.readouterr())
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "doc.txt"
+    f.write_text(FIXTURE)
+    # a seed given once is not the default of the next call
+    assert "(10 orders, seed 3)" in _run_main(capsys, ["check", "--input", str(f), "--seed", "3"])[1]
+    assert "(10 orders, seed 0)" in _run_main(capsys, ["check", "--input", str(f)])[1]
+
+    # help and usage errors print the same bytes from a freshly built parser
+    # and from the shared one, whatever ran in between
+    argvs = (["--help"], ["tutte", "--help"], [], ["tutte", "--method", "foo"])
+    first = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        first.append(_run_main(capsys, argv))
+    assert [code for code, _, _ in first] == [0, 0, 1, 1]
+    for _ in range(2):
+        assert [_run_main(capsys, argv) for argv in argvs] == first
+        assert _run_main(capsys, ["tutte", "--input", str(f)]) == (0, FIXTURE_POLY_STR + "\n", "")
+
+    # an --input of one call does not carry over to the next, which reads stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(U12_DOC))
+    assert _run_main(capsys, ["tutte"]) == (0, "x + y\n", "")
+
+
 def _closed_pipe() -> int:
     """The write end of a pipe whose read end is already closed."""
     read, write = os.pipe()

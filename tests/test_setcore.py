@@ -105,6 +105,19 @@ def test_subset_rejects_foreign_elements():
         e.check_subset(1 << 27 | 1 << 5 | 1)
 
 
+def test_check_subset_refuses_a_negative_mask():
+    # a negative int has infinitely many set bits, none of them a label
+    e = GroundSet(3)
+    for x in (-1, -2, -(1 << 30)):
+        with pytest.raises(DomainError) as exc:
+            e.check_subset(x)
+        assert str(exc.value) == f"subset mask {x} is negative"
+    with pytest.raises(DomainError, match="subset mask -1 is negative"):
+        uniform_matroid(2, e).rank(-1)
+    with pytest.raises(DomainError, match="subset mask -8 is negative"):
+        e.complement(-8)
+
+
 def test_from_order_keeps_labels():
     sub = GroundSet.from_order((2, 5, 3))
     assert sub.mask == bit(2) | bit(3) | bit(5)

@@ -25,6 +25,8 @@ from mptutte import (
     tutte_rank_generating,
     uniform_matroid,
 )
+from mptutte.setcore import MAX_ELEMENTS
+from mptutte.tutte import _power_rows
 import oracle
 from corpus import corpus_matroids, fixture_matroids, fixture_perspective, ladder
 
@@ -120,6 +122,18 @@ def test_rank_generating_refuses_negative_defect():
     p.matroid, p.quotient = uniform_matroid(1, e), free_matroid(e)
     with pytest.raises(PerspectiveError, match=r"negative rank defect at \{\}"):
         tutte_rank_generating(p)
+
+
+def test_rank_generating_power_rows_are_the_memoized_powers():
+    for base in (X - 1, Y - 1):
+        for k in range(MAX_ELEMENTS + 1):
+            rows = _power_rows(base, k)
+            assert [dict(row) for row in rows] == [power.terms() for power in base.powers(k)]
+            # tuples all the way down, so no caller can change the shared memo
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert all(type(term) is tuple for row in rows for term in row)
+            # an equal base built afresh, as rank-gen builds it, finds the same object
+            assert _power_rows(base * 1, k) is rows
 
 
 def test_specialize_m0(fixture):
