@@ -401,7 +401,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; returns its exit code.  main may be called repeatedly in
-    one process: each call parses with the one shared parser and keeps no state."""
+    one process: each call parses with the one shared parser and keeps no other
+    state."""
     args = _parser().parse_args(argv)
     ok = True
     try:

@@ -92,9 +92,9 @@ class GroundSet:
         return f"GroundSet(order={self.order})"
 
     def check_subset(self, x: int) -> int:
-        if x < 0:
-            raise DomainError(f"subset mask {x} is negative")
         if x & ~self.mask:
+            if x < 0:
+                raise DomainError(f"subset mask {x} is negative")
             outside = self.labels(x & ~self.mask & ((1 << x.bit_length()) - 1))
             raise DomainError(
                 f"subset {{{','.join(map(str, outside))}}} "  # unnamed: not in the ground set
