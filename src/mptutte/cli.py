@@ -20,7 +20,8 @@ Exit codes are a contract: 0 success, 1 parse/input error (a command-line
 usage error included), 2 invalid perspective, 3 property-check failure or a
 tripped internal cross-check (ConsistencyError).  A reader closing stdout
 early (``mptutte table | head -1``) is no error: the rest is dropped silently
-and the exit code stays 0, or 3 for a failing ``check``.
+and the exit code stays 0, or 3 for a failing ``check``.  Input is read, and
+stdout written, as UTF-8 whatever the locale.
 """
 
 import argparse
@@ -63,10 +64,6 @@ class InputDocument:
     ground: GroundSet  # named by the document's element labels
     stanzas: tuple
     identify_classes: tuple | None  # partition of the graph's vertices, or None
-
-    @property
-    def is_perspective(self) -> bool:
-        return len(self.stanzas) == 2 or self.identify_classes is not None
 
 
 def parse_input(text: str) -> InputDocument:
@@ -407,11 +404,11 @@ def main(argv=None) -> int:
     ok = True
     try:
         if args.input:
-            with open(args.input, encoding="utf-8") as fh:
+            with open(args.input, "rb") as fh:
                 text = fh.read()
-        else:
-            text = sys.stdin.read()
-        doc = parse_input(text)
+        else:  # a stdin without a byte layer (a StringIO) is read as text
+            text = getattr(sys.stdin, "buffer", sys.stdin).read()
+        doc = parse_input(text.decode("utf-8") if isinstance(text, bytes) else text)
         if args.command == "tutte":
             out = cmd_tutte(doc, args.method)
         elif args.command == "table":
@@ -430,7 +427,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     try:
-        print(out, flush=True)
+        stdout = getattr(sys.stdout, "buffer", None)
+        if stdout is None:  # a stream without a byte layer, such as a StringIO
+            print(out, flush=True)
+        else:
+            stdout.write(out.encode("utf-8") + b"\n")
+            stdout.flush()
     except BrokenPipeError:  # the reader left: what shutdown flushes goes nowhere too
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
