@@ -21,7 +21,7 @@ usage error included), 2 invalid perspective, 3 property-check failure or a
 tripped internal cross-check (ConsistencyError).  A reader closing stdout
 early (``mptutte table | head -1``) is no error: the rest is dropped silently
 and the exit code stays 0, or 3 for a failing ``check``.  Input is read, and
-stdout written, as UTF-8 whatever the locale.
+stdout and error lines written, as UTF-8 whatever the locale.
 """
 
 import argparse
@@ -222,12 +222,12 @@ def document_matroids(doc: InputDocument) -> list:
             elif stanza.kind == "bases":
                 m = Matroid.from_bases(doc.ground, stanza.payload)
             else:
-                m = cycle_matroid(_graph_from_stanza(stanza), doc.ground)
+                g = _graph_from_stanza(stanza)
+                m = cycle_matroid(g, doc.ground)
         except AxiomError as e:
             raise AxiomError(f"in stanza {stanza.name!r} (line {stanza.line}): {e}") from e
         out.append((stanza.name, m))
-    if doc.identify_classes is not None:
-        g = _graph_from_stanza(doc.stanzas[0])
+    if doc.identify_classes is not None:  # parse_input allows it only beside one graph stanza
         merged = identify_vertices(g, doc.identify_classes)
         out.append((doc.stanzas[0].name + "'", cycle_matroid(merged, doc.ground)))
     return out
@@ -417,26 +417,26 @@ def main(argv=None) -> int:
             out = cmd_compatible(doc)
         else:
             out, ok = cmd_check(doc, seed=args.seed)
-    except (ParseError, AxiomError, DomainError, OSError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except PerspectiveError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ConsistencyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    except (ParseError, AxiomError, DomainError, OSError, UnicodeDecodeError,
+            PerspectiveError, ConsistencyError) as e:
+        _write_line(sys.stderr, f"error: {e}")
+        return {PerspectiveError: 2, ConsistencyError: 3}.get(type(e), 1)
     try:
-        stdout = getattr(sys.stdout, "buffer", None)
-        if stdout is None:  # a stream without a byte layer, such as a StringIO
-            print(out, flush=True)
-        else:
-            stdout.write(out.encode("utf-8") + b"\n")
-            stdout.flush()
+        _write_line(sys.stdout, out)
     except BrokenPipeError:  # the reader left: what shutdown flushes goes nowhere too
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
     return 0 if ok else 3
+
+
+def _write_line(stream, text: str):
+    """Write a line to `stream` as UTF-8, or as text if it has no byte layer (a StringIO)."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        print(text, file=stream, flush=True)
+    else:
+        buffer.write(text.encode("utf-8") + b"\n")
+        buffer.flush()
 
 
 if __name__ == "__main__":

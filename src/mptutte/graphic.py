@@ -2,21 +2,20 @@
 
 Edges carry the matroid element labels (exactly 1..n, each once); loops and
 parallel edges are allowed and matter: a loop is a one-element circuit, a
-parallel pair a two-element circuit.  A cycle matroid is built from its
-cycle space, whose fundamental cycles one union-find pass finds.
-Identifying vertices coarsens the cycle structure, and (cycle_matroid(G),
+parallel pair a two-element circuit.  A cycle matroid is built from one
+table of every edge set's incidence column sum over GF(2).  Identifying
+vertices coarsens the cycle structure, and (cycle_matroid(G),
 cycle_matroid(G with identified vertices)) is always a perspective.  A
 merged vertex keeps the name of its class's first member, never a new name
 that another vertex might already hold.
 """
 
+import functools
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import xor
 
 from .errors import DomainError
-from .matroid import Matroid
-from .setcore import GroundSet, bit
+from .matroid import Matroid, _lanes_equal
+from .setcore import GroundSet
 
 
 @dataclass(frozen=True)
@@ -64,43 +63,38 @@ def components(vertices, pairs) -> tuple:
 def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
     """Matroid on the edge labels whose independent sets are the forests of g.
 
-    An edge set is dependent iff it contains a nonzero vector of the cycle
-    space over GF(2), each an edge-disjoint union of circuits (Veblen).  A
-    union-find over the edges keeps, per vertex, the edge mask of its path to
-    its parent; an edge whose ends share a root closes the fundamental cycle
-    path(u) ^ path(v) ^ edge.  These span the cycle space, whose nonzero
-    vectors, listed by Gray code, are closed upward; loops, in no other
-    cycle, are closed upward on their own.  Nothing is re-validated.
+    An edge set is dependent iff it holds a nonempty subset whose incidence
+    columns sum to zero over GF(2), an edge-disjoint union of circuits
+    (Veblen); a loop's column is zero.  Nothing is re-validated.
     """
     m = len(g.edges)
     if ground is None:
         ground = GroundSet(m)
-    elif ground.size != m:
-        raise DomainError(f"ground set has {ground.size} elements but the graph has {m} edges")
-    index = {v: k for k, v in enumerate(g.vertices)}
-    parent = list(range(len(index)))
-    path = [0] * len(index)
+    elif ground.mask != (1 << m) - 1:
+        raise DomainError(f"ground set labels {sorted(ground.order)} are not the edge labels 1..{m}")
+    return Matroid._from_dependent(ground, _zero_sums(g))
 
-    def find(v):
-        to_root = 0
-        while parent[v] != v:
-            to_root ^= path[v]
-            v = parent[v]
-        return v, to_root
 
-    cycles, loops = [], []
-    for label, u, v in g.edges:
-        (ru, pu), (rv, pv) = find(index[u]), find(index[v])
-        if u == v:  # a circuit, inside every cycle-space vector that holds it
-            loops.append(bit(label))
-        elif ru == rv:
-            cycles.append(pu ^ pv ^ bit(label))
-        else:
-            parent[ru] = rv
-            path[ru] = pu ^ pv ^ bit(label)
-    # Gray code: the j-th nonzero vector adds the cycle at j's lowest set bit
-    steps = (cycles[(j & -j).bit_length() - 1] for j in range(1, 1 << len(cycles)))
-    return Matroid._from_dependent(ground, chain(loops, accumulate(steps, xor)))
+def _zero_sums(g: Multigraph) -> int:
+    """Byte lanes, 0xFF at each nonempty edge set whose incidence columns sum
+    to zero over GF(2), 8 vertex rows (one byte plane) at a time, each plane
+    by doubling: sums[S + e] = sums[S] ^ column(e).  The first vertex's row
+    is left out: every column has two ones or none, so it sums the others."""
+    row = {v: 1 << k for k, v in enumerate(g.vertices[1:])}
+    columns = [row.get(u, 0) ^ row.get(v, 0) for _, u, v in sorted(g.edges)]  # by label
+    zero = (1 << (8 << len(columns))) - 256  # every lane but the empty set's
+    for plane in range(0, len(row), 8):
+        sums = bytearray(1)
+        for c in columns:
+            sums += sums.translate(_xor_table((c >> plane) & 0xFF))
+        zero &= _lanes_equal(sums, 0)
+    return zero
+
+
+@functools.cache
+def _xor_table(c: int) -> bytes:
+    """The byte map v -> v ^ c."""
+    return bytes(v ^ c for v in range(256))
 
 
 def identify_vertices(g: Multigraph, classes) -> Multigraph:

@@ -13,12 +13,13 @@ Every input is built into its table first and checked there.  Bases,
 circuits and graphs (graphic.cycle_matroid) first become independence
 flags, an int with one byte lane per subset, 0xFF on the independent ones:
 the downward closure of the bases, or the complement of the upward closure
-of the circuits or of the cycle space.  One max-plus zeta transform turns
-the flags into the table.  Closures and transform take one big-int pass per
-element: the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto (FOCS
-2008).  A table takes O(n 2^n) time and about 9 * 2^n bytes of peak memory;
-GroundSet keeps n at most 24.  The trivial matroids need no flags: U_{k,n},
-free (k = n) and rank 0 (k = 0), are the closed form r(S) = min(|S|, k).
+of the circuits or of a graph's edge sets whose incidence columns sum to
+zero.  One max-plus zeta transform turns the flags into the table.
+Closures and transform take one big-int pass per element: the subset zeta
+transform of Bjorklund-Husfeldt-Kaski-Koivisto (FOCS 2008).  A table takes
+O(n 2^n) time and about 9 * 2^n bytes of peak memory; GroundSet keeps n at
+most 24.  The trivial matroids need no flags: U_{k,n}, free (k = n) and
+rank 0 (k = 0), are the closed form r(S) = min(|S|, k).
 
 Bases are then checked for basis exchange, O(|bases|^2 * n), and circuits
 for the circuit axioms, each looking its sets up in the table: a k-set is a
@@ -47,7 +48,7 @@ class Matroid:
         if not bases:
             raise AxiomError("a matroid needs at least one basis")
         n = ground.mask.bit_length()
-        self.ground, self.ranks = ground, _rank_table(n, _closure(n, bases, up=False))
+        self.ground, self.ranks = ground, _rank_table(n, _closure(n, _lanes_at(n, bases), up=False))
         self._bases, self._circuits, self._dual = bases, None, None
         if validate:
             _check_exchange(self, bases)
@@ -65,17 +66,18 @@ class Matroid:
         of dependent sets; the validation looks up each circuit elimination
         in the table built from it.  An empty family gives the free matroid."""
         circs = sorted({ground.check_subset(c) for c in circuits})
-        m = cls._from_dependent(ground, circs)
+        m = cls._from_dependent(ground, _lanes_at(ground.mask.bit_length(), circs))
         _check_circuit_axioms(m, circs)
         m._circuits = tuple(circs)
         return m
 
     @classmethod
-    def _from_dependent(cls, ground: GroundSet, members) -> "Matroid":
-        """The matroid whose dependent sets are the upward closure of the
-        masks `members`; not validated."""
+    def _from_dependent(cls, ground: GroundSet, flags: int) -> "Matroid":
+        """The matroid whose dependent sets are the upward closure of the sets
+        whose byte lanes in `flags` are 0xFF; not validated."""
         n = ground.mask.bit_length()
-        return cls._from_table(ground, _rank_table(n, ~_closure(n, members, up=True)))
+        flags = ~_closure(n, flags, up=True)  # rebound, so the input is freed before the transform
+        return cls._from_table(ground, _rank_table(n, flags))
 
     @classmethod
     def _from_table(cls, ground: GroundSet, table: bytes) -> "Matroid":
@@ -220,14 +222,17 @@ def lanes_without(size: int, h: int, fill: bytes) -> int:
     return int.from_bytes((fill * h + bytes(h)) * (size // (2 * h)), "little")
 
 
-def _closure(n: int, members, up: bool) -> int:
-    """Byte lanes, 0xFF at each S in the downward (or, when `up`, upward)
-    closure of the masks `members`, 2^n lanes: one shift/OR pass per
-    element."""
+def _lanes_at(n: int, members) -> int:
+    """2^n byte lanes, 0xFF at each of the masks `members`."""
     lanes = bytearray(1 << n)
     for s in members:
         lanes[s] = 0xFF
-    family = int.from_bytes(lanes, "little")
+    return int.from_bytes(lanes, "little")
+
+
+def _closure(n: int, family: int, up: bool) -> int:
+    """2^n byte lanes, 0xFF at each S in the downward (or, when `up`, upward)
+    closure of the 0xFF lanes of `family`: one shift/OR pass per element."""
     for i in range(n):
         without = lanes_without(1 << n, 1 << i, b"\xff")
         if up:

@@ -136,6 +136,29 @@ def test_graph_tables_and_bases_match_the_candidate_scan():
         assert_table_from_bases(m, bases)
 
 
+def test_graph_tables_over_three_vertex_planes_match_the_candidate_scan():
+    # 18-24 vertices, so that the incidence columns span three byte planes,
+    # with loops, parallel classes and a triangle through all three planes
+    rng = random.Random(16)
+    for _ in range(12):
+        vertices = tuple(f"v{i}" for i in range(rng.randint(18, 24)))
+        ends = [("v1", "v9"), ("v9", vertices[-1]), (vertices[-1], "v1")]
+        while len(ends) < 16:
+            kind = rng.random()
+            if kind < 0.2:
+                ends.append(rng.choice(ends))
+            elif kind < 0.3:
+                ends.append((rng.choice(vertices),) * 2)
+            else:
+                ends.append(tuple(rng.sample(vertices, 2)))
+        rng.shuffle(ends)
+        g = Multigraph(vertices=vertices, edges=tuple((l, u, v) for l, (u, v) in enumerate(ends, 1)))
+        m = cycle_matroid(g)
+        bases = oracle.graph_bases(g)
+        assert m.bases == tuple(sorted(bases)), g
+        assert_table_from_bases(m, bases, brute=False)
+
+
 def test_equality_and_hash_follow_the_basis_family(corpus):
     by_eq, by_bases = {}, {}
     pool = [m for _, m in corpus_matroids(corpus)]

@@ -8,6 +8,8 @@ from mptutte import (
     Multigraph,
     cycle_matroid,
     identify_vertices,
+    rank_zero_matroid,
+    uniform_matroid,
     validate_perspective,
 )
 from mptutte.graphic import components
@@ -147,6 +149,20 @@ def test_multigraph_validation():
 def test_cycle_matroid_ground_size_must_match():
     with pytest.raises(DomainError):
         cycle_matroid(TWO_TRIANGLES, GroundSet(4))
+
+
+def test_cycle_matroid_refuses_ground_labels_other_than_the_edge_labels():
+    triangle = Multigraph(vertices=("a", "b", "c"), edges=((1, "a", "b"), (2, "b", "c"), (3, "c", "a")))
+    with pytest.raises(DomainError, match="edge labels"):
+        cycle_matroid(triangle, GroundSet.from_order((2, 3, 5)))
+    assert cycle_matroid(triangle, GroundSet.from_order((3, 1, 2))).circuits == (0b111,)
+
+
+def test_parallel_class_and_loops_only():
+    parallel = Multigraph(vertices=("a", "b"), edges=tuple((l, "a", "b") for l in range(1, 21)))
+    assert cycle_matroid(parallel) == uniform_matroid(1, GroundSet(20))
+    loops = Multigraph(vertices=("a", "b"), edges=tuple((l, "b", "b") for l in range(1, 11)))
+    assert cycle_matroid(loops) == rank_zero_matroid(GroundSet(10))
 
 
 def test_rank_is_vertices_minus_components():

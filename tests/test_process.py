@@ -98,6 +98,8 @@ ROWS = [
     *(row(f"accented-{how}-{loc}", ["table", *argv], 0, golden("accented_labels_table.tsv"),
           stdin=stdin, env=env)
       for loc, env in ASCII_LOCALES.items() for how, (argv, stdin) in sources("accented_labels")),
+    *(row(f"error-accented-{loc}", ["tutte", *doc("accented_bad_circuits")], 1, EMPTY,
+          golden("accented_bad_circuits_stderr.txt"), env=env) for loc, env in ASCII_LOCALES.items()),
     *(row(f"not-utf8-{how}-{loc}", ["tutte", *argv], 1, EMPTY, golden("not_utf8_stderr.txt"),
           stdin=stdin, env=env)
       for loc, env in {"default": {}, **ASCII_LOCALES}.items()
