@@ -13,11 +13,12 @@ minor is built.
 bijection_table lays out one row per valid B, ordered by size then
 lexicographically, with the monomial exponents
 (|Int|, |Ext|, rank defect) that drive the trivariate polynomial.  A row is
-a BijectionRow, a NamedTuple (b, internal, external, x, monomial) of masks
-and that triple: immutable and hashable, and built as cheaply as a tuple.
+a BijectionRow, a collections.namedtuple (b, internal, external, x,
+monomial) of masks and that triple: immutable and hashable, and built as
+cheaply as a tuple.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .activities import activities, unpacked
 from .compatible import in_family
@@ -25,14 +26,8 @@ from .errors import DomainError
 from .perspective import Perspective
 
 
-class BijectionRow(NamedTuple):
-    """One table row: B with its activities, image X, and monomial exponents."""
-
-    b: int
-    internal: int
-    external: int
-    x: int
-    monomial: tuple
+# One table row: B with its activities, image X, and monomial exponents.
+BijectionRow = namedtuple("BijectionRow", "b internal external x monomial")
 
 
 def forward(p: Perspective, b: int) -> int:

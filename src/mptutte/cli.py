@@ -30,8 +30,7 @@ import os
 import random
 import re
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .bijection import backward, bijection_table
 from .compatible import compatible_family
@@ -51,19 +50,12 @@ METHODS = {
 }
 
 
-@dataclass(frozen=True)
-class Stanza:
-    kind: str  # "circuits" | "bases" | "graph"
-    name: str
-    payload: tuple  # masks for matroid stanzas, (label, u, v) triples for graphs
-    line: int
-
-
-@dataclass(frozen=True)
-class InputDocument:
-    ground: GroundSet  # named by the document's element labels
-    stanzas: tuple
-    identify_classes: tuple | None  # partition of the graph's vertices, or None
+# kind is "circuits", "bases" or "graph"; payload holds masks for matroid
+# stanzas and (label, u, v) triples for graphs
+Stanza = namedtuple("Stanza", "kind name payload line")
+# ground is named by the document's element labels; identify_classes is a
+# partition of the graph's vertices, or None
+InputDocument = namedtuple("InputDocument", "ground stanzas identify_classes")
 
 
 def parse_input(text: str) -> InputDocument:
@@ -199,13 +191,8 @@ def _add_stanza(stanzas, stanza, no):
     stanzas.append(stanza)
 
 
-def _graph_from_stanza(stanza: Stanza) -> Multigraph:
-    vertices = tuple(dict.fromkeys(x for _, u, v in stanza.payload for x in (u, v)))
-    return Multigraph(vertices=vertices, edges=stanza.payload)
-
-
 def _classes_from_pairs(graph_stanza, pairs, line):
-    vertices = _graph_from_stanza(graph_stanza).vertices
+    vertices = dict.fromkeys(x for _, u, v in graph_stanza.payload for x in (u, v))
     for u, v in pairs:
         if u not in vertices or v not in vertices:
             raise ParseError(f"unknown vertex in identification {u}={v}", line)
@@ -222,7 +209,8 @@ def document_matroids(doc: InputDocument) -> list:
             elif stanza.kind == "bases":
                 m = Matroid.from_bases(doc.ground, stanza.payload)
             else:
-                g = _graph_from_stanza(stanza)
+                vertices = tuple(dict.fromkeys(x for _, u, v in stanza.payload for x in (u, v)))
+                g = Multigraph(vertices=vertices, edges=stanza.payload)
                 m = cycle_matroid(g, doc.ground)
         except AxiomError as e:
             raise AxiomError(f"in stanza {stanza.name!r} (line {stanza.line}): {e}") from e
@@ -403,7 +391,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     ok = True
     try:
-        if args.input:
+        if args.input is not None:
             with open(args.input, "rb") as fh:
                 text = fh.read()
         else:  # a stdin without a byte layer (a StringIO) is read as text

@@ -11,34 +11,37 @@ that another vertex might already hold.
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .matroid import Matroid, _lanes_equal
 from .setcore import GroundSet
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(namedtuple("Multigraph", "vertices edges")):
     """Vertices are strings; edges are (label, u, v) with u = v for a loop."""
 
-    vertices: tuple
-    edges: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((l, u, v) for l, u, v in self.edges))
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+    def __new__(cls, vertices, edges):
+        vertices = tuple(vertices)
+        edges = tuple((l, u, v) for l, u, v in edges)
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise DomainError("duplicate vertex names")
-        labels = sorted(l for l, _, _ in self.edges)
+        labels = sorted(l for l, _, _ in edges)
         if labels != list(range(1, len(labels) + 1)):
             raise DomainError(
                 f"edge labels must be exactly 1..{len(labels)}, each used once; got {labels}"
             )
-        for _, u, v in self.edges:
+        for _, u, v in edges:
             if u not in vset or v not in vset:
                 raise DomainError(f"edge endpoint {u!r} or {v!r} is not a declared vertex")
+        return super().__new__(cls, vertices, edges)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
 
 def components(vertices, pairs) -> tuple:

@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -488,3 +489,13 @@ def test_closed_stdout_keeps_a_failing_checks_exit_code(capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["check", "--input", str(DATA / "two_triangles.txt")]) == 3
     assert capsys.readouterr().err == ""
+
+
+def test_import_surface_stays_small():
+    """Importing the CLI loads neither dataclasses, typing nor inspect (-S keeps
+    site hooks, which may import them on their own, out of the count)."""
+    code = ("import sys; import mptutte.cli; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -144,6 +144,14 @@ def test_multigraph_validation():
         Multigraph(vertices=("a",), edges=((1, "a", "z"),))
     with pytest.raises(DomainError, match="duplicate"):
         Multigraph(vertices=("a", "a"), edges=())
+    g = Multigraph(vertices=["a", "b"], edges=[[1, "a", "b"]])
+    assert g == Multigraph(vertices=("a", "b"), edges=((1, "a", "b"),))
+    assert hash(g) == hash(Multigraph(vertices=("a", "b"), edges=((1, "a", "b"),)))
+    assert (type(g.vertices), type(g.edges), type(g.edges[0])) == (tuple, tuple, tuple)
+    with pytest.raises(AttributeError):
+        g.edges = ()
+    with pytest.raises(DomainError, match="endpoint"):
+        g._replace(edges=((1, "a", "z"),))
 
 
 def test_cycle_matroid_ground_size_must_match():

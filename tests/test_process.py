@@ -88,6 +88,9 @@ ROWS = [
     row("check-summary", ["check", *doc("two_triangles_graph")], 0, last_line("all checks passed")),
     row("usage-error", ["tutte", "--method", "foo"], 1, EMPTY, search("invalid choice: 'foo'")),
     row("missing-command", [], 1, EMPTY, search("^usage: mptutte")),
+    row("empty-input-path", ["tutte", "--input", ""], 1, EMPTY,
+        exact(b"error: [Errno 2] No such file or directory: ''\n"),
+        stdin=b"elements: 2\nmatroid M circuits: {1,2}\n"),
     row("help", ["--help"], 0,
         search(*(rf"^ +{c}( |$)" for c in ("tutte", "table", "compatible", "check")))),
     *(row(f"closed-stdout-{c}", [c, *doc("two_triangles")], 0, EMPTY, head=0)
