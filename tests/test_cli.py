@@ -91,6 +91,46 @@ def test_parse_errors():
                                   "character (one of { } , =)")
 
 
+GRAPH_1 = "elements: 1\ngraph G edges: 1=a-b\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("elements 2\n", "line 1: expected 'elements: ...'"),
+    ("elements: a b a\n", "line 1: duplicate element labels"),
+    ("elements: 2\norder: 1 2\norder: 2 1\n", "line 3: duplicate 'order:' line"),
+    ("elements: 2\norder: 1 z\n", "line 2: unknown element 'z' in order"),
+    ("elements: 2\nmatroid M flats: {1}\n",
+     "line 2: expected 'matroid <name> circuits: ...' or 'matroid <name> bases: ...'"),
+    ("elements: 2\nmatroid M bases {1}\n",
+     "line 2: expected 'matroid <name> circuits: ...' or 'matroid <name> bases: ...'"),
+    ("elements: 1\ngraph G vertices: 1=a-b\n", "line 2: expected 'graph <name> edges: ...'"),
+    ("elements: 1\ngraph G edges: 1=a\n", "line 2: bad edge '1=a'; expected label=u-v"),
+    ("elements: 1\ngraph G edges: 1=a-\n", "line 2: bad edge '1=a-'; expected label=u-v"),
+    ("elements: 1\ngraph G edges: 1=-b\n", "line 2: bad edge '1=-b'; expected label=u-v"),
+    ("elements: 1\ngraph G edges: =a-b\n", "line 2: unknown element ''"),
+    (GRAPH_1 + "identify: a=b\nidentify: a=b\n", "line 4: duplicate 'identify:' line"),
+    (GRAPH_1 + "identify: ab\n", "line 3: bad identification 'ab'; expected u=v"),
+    (GRAPH_1 + "identify: =b\n", "line 3: bad identification '=b'; expected u=v"),
+    (GRAPH_1 + "identify: a=\n", "line 3: bad identification 'a='; expected u=v"),
+    (GRAPH_1 + "identify: a=b=c\n", "line 3: unknown vertex in identification a=b=c"),
+    ("# nothing\n", "missing 'elements:' declaration"),
+    ("", "missing 'elements:' declaration"),
+    ("order: 1\nelements: 1\n", "line 1: 'elements:' must come before this line"),
+    ("elements: 1\nelements 1\n", "line 2: expected 'elements: ...'"),
+    (": 1\n", "line 1: unrecognized line ': 1'"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_input(text)
+    assert str(exc.value) == message
+
+
+def test_cmd_tutte_refuses_an_unknown_method():
+    with pytest.raises(DomainError) as exc:
+        cmd_tutte(parse_input(U12_DOC), "nope")
+    assert str(exc.value) == "unknown method 'nope'; choose from ['activities', 'compatible', 'rank-gen']"
+
+
 def test_parse_string_labels_and_order():
     doc = parse_input("elements: e f g\norder: g f e\nmatroid M circuits: {e,f} {f,g} {e,g}\n")
     assert doc.ground.names == ("e", "f", "g")
