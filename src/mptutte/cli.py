@@ -1,6 +1,8 @@
 """Command-line surface: parse description files, compute, print.
 
-Input grammar (line oriented; ``#`` starts a comment; blank lines ignored)::
+Input grammar (line oriented; ``#`` starts a comment; blank lines ignored).
+Every line is ``<head>: <body>``, with one of five heads; a line whose head is
+not exactly one of them, or lacks the colon, is refused on its line::
 
     elements: <n>                       # or a label list (no { } , or =): a b c
     order: <e1> <e2> ... <en>           # optional, ascending <; default natural
@@ -60,143 +62,140 @@ InputDocument = namedtuple("InputDocument", "ground stanzas identify_classes")
 
 def parse_input(text: str) -> InputDocument:
     """Parse a description file.  Raises ParseError with the offending line."""
-    labels = None
-    label_index = {}
-    order = None
+    index = None  # element label -> its position, from the 'elements:' line
+    singles = {}  # keyword of a line allowed once -> (its parsed body, its line number)
     stanzas = []
-    identify_pairs = None
-    identify_line = None
-
-    def need_elements(no):
-        if labels is None:
-            raise ParseError("'elements:' must come before this line", no)
-
-    def parse_set(token, no):
-        mask = 0
-        for part in token.split(",") if token.strip() else ():
-            part = part.strip()
-            if part not in label_index:
-                raise ParseError(f"unknown element {part!r}", no)
-            mask |= 1 << (label_index[part] - 1)
-        return mask
-
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, sep, rest = line.partition(":")
-        keyword = head.split()[0] if head.split() else ""
-
-        if keyword == "elements":
-            if not sep:
-                raise ParseError("expected 'elements: ...'", no)
-            if labels is not None:
-                raise ParseError("duplicate 'elements:' line", no)
-            tokens = rest.split()
-            count = len(tokens) == 1 and tokens[0].isascii() and tokens[0].isdigit()
-            if not count and len(set(tokens)) != len(tokens):
-                raise ParseError("duplicate element labels", no)
-            # a count stays text until it is known to be small
-            n = (tokens[0].lstrip("0") or "0") if count else str(len(tokens))
-            if len(n) > len(str(MAX_ELEMENTS)) or int(n) > MAX_ELEMENTS:
-                raise ParseError(f"{n} elements exceeds the limit of {MAX_ELEMENTS}", no)
-            labels = tuple(map(str, range(1, int(n) + 1))) if count else tuple(tokens)
-            for lbl in labels:
-                if any(ch in lbl for ch in "{},="):
-                    raise ParseError(f"element label {lbl!r} contains a reserved character "
-                                     "(one of { } , =)", no)
-            label_index = {lbl: i for i, lbl in enumerate(labels, start=1)}
-        elif keyword == "order":
-            need_elements(no)
-            if order is not None:
-                raise ParseError("duplicate 'order:' line", no)
-            tokens = rest.split()
-            try:
-                order = tuple(label_index[t] for t in tokens)
-            except KeyError as e:
-                raise ParseError(f"unknown element {e.args[0]!r} in order", no) from None
-            if sorted(order) != list(range(1, len(labels) + 1)):
-                raise ParseError("order must list every element exactly once", no)
-        elif keyword == "matroid":
-            need_elements(no)
-            m = re.fullmatch(r"matroid\s+(\S+)\s+(circuits|bases)", head.strip())
-            if not m or not sep:
-                raise ParseError("expected 'matroid <name> circuits: ...' or 'matroid <name> bases: ...'", no)
-            name, kind = m.group(1), m.group(2)
-            sets = [parse_set(s, no) for s in SET_RE.findall(rest)]
-            if SET_RE.sub("", rest).strip():
-                raise ParseError(f"unexpected text {SET_RE.sub('', rest).strip()!r} in set list", no)
-            _add_stanza(stanzas, Stanza(kind, name, tuple(sets), no), no)
-        elif keyword == "graph":
-            need_elements(no)
-            m = re.fullmatch(r"graph\s+(\S+)\s+edges", head.strip())
-            if not m or not sep:
-                raise ParseError("expected 'graph <name> edges: ...'", no)
-            edges = {}  # element -> its edge; each element labels exactly one
-            for token in rest.split():
-                lbl, eq, ends = token.partition("=")
-                u, dash, v = ends.partition("-")
-                if not eq or not dash or not u or not v:
-                    raise ParseError(f"bad edge {token!r}; expected label=u-v", no)
-                if lbl not in label_index:
-                    raise ParseError(f"unknown element {lbl!r}", no)
-                if label_index[lbl] in edges:
-                    raise ParseError(f"element {lbl!r} labels more than one edge", no)
-                edges[label_index[lbl]] = (label_index[lbl], u, v)
-            missing = [lbl for lbl in labels if label_index[lbl] not in edges]
-            if missing:
-                raise ParseError(f"elements without an edge: {' '.join(missing)}", no)
-            _add_stanza(stanzas, Stanza("graph", m.group(1), tuple(edges.values()), no), no)
-        elif keyword == "identify":
-            need_elements(no)
-            if identify_pairs is not None:
-                raise ParseError("duplicate 'identify:' line", no)
-            pairs = []
-            for token in rest.split():
-                u, eq, v = token.partition("=")
-                if not eq or not u or not v:
-                    raise ParseError(f"bad identification {token!r}; expected u=v", no)
-                pairs.append((u, v))
-            identify_pairs = tuple(pairs)
-            identify_line = no
-        else:
+        head, colon, body = line.partition(":")
+        keyword = (head.split() or [""])[0]
+        if keyword not in _LINES:
             raise ParseError(f"unrecognized line {line!r}", no)
-
-    if labels is None:
+        if index is None and keyword != "elements":
+            raise ParseError("'elements:' must come before this line", no)
+        pattern, expected, parse_body = _LINES[keyword]
+        m = pattern.fullmatch(head.strip())
+        if not m or not colon:
+            raise ParseError(expected, no)
+        if keyword in singles:
+            raise ParseError(f"duplicate '{keyword}:' line", no)
+        value = parse_body(body, index, no)
+        if not m.groups():  # elements, order or identify
+            singles[keyword] = value, no
+            if keyword == "elements":
+                index = value
+        elif any(s.name == m["name"] for s in stanzas):  # a stanza, named in its head
+            raise ParseError(f"duplicate stanza name {m['name']!r}", no)
+        elif len(stanzas) >= 2:
+            raise ParseError("at most two matroid/graph stanzas are allowed", no)
+        else:
+            stanzas.append(Stanza(m["kind"], m["name"], value, no))
+    if index is None:
         raise ParseError("missing 'elements:' declaration")
     if not stanzas:
         raise ParseError("no matroid or graph stanza")
-    if identify_pairs is not None:
-        if len(stanzas) != 1 or stanzas[0].kind != "graph":
-            raise ParseError(
-                "'identify:' needs exactly one graph stanza and no other matroid stanza",
-                identify_line,
-            )
-
-    classes = None
-    if identify_pairs is not None:
-        classes = _classes_from_pairs(stanzas[0], identify_pairs, identify_line)
-    return InputDocument(
-        ground=GroundSet(len(labels), order=order, names=labels),
-        stanzas=tuple(stanzas),
-        identify_classes=classes,
-    )
+    order = singles["order"][0] if "order" in singles else None
+    classes = _classes(stanzas, *singles["identify"]) if "identify" in singles else None
+    return InputDocument(GroundSet(len(index), order=order, names=tuple(index)), tuple(stanzas), classes)
 
 
-def _add_stanza(stanzas, stanza, no):
-    if any(s.name == stanza.name for s in stanzas):
-        raise ParseError(f"duplicate stanza name {stanza.name!r}", no)
-    if len(stanzas) >= 2:
-        raise ParseError("at most two matroid/graph stanzas are allowed", no)
-    stanzas.append(stanza)
-
-
-def _classes_from_pairs(graph_stanza, pairs, line):
-    vertices = dict.fromkeys(x for _, u, v in graph_stanza.payload for x in (u, v))
+def _classes(stanzas, pairs, line):
+    """The vertex classes an 'identify:' line's pairs make of the one graph stanza."""
+    if len(stanzas) != 1 or stanzas[0].kind != "graph":
+        raise ParseError("'identify:' needs exactly one graph stanza and no other matroid stanza", line)
+    vertices = dict.fromkeys(x for _, u, v in stanzas[0].payload for x in (u, v))
     for u, v in pairs:
         if u not in vertices or v not in vertices:
             raise ParseError(f"unknown vertex in identification {u}={v}", line)
     return components(vertices, pairs)
+
+
+# -- line bodies: each gets the text after the colon, the label -> position map
+# of the 'elements:' line (None while parsing that line) and the line number
+
+def _elements(body, _, no):
+    tokens = body.split()
+    count = len(tokens) == 1 and tokens[0].isascii() and tokens[0].isdigit()
+    if not count and len(set(tokens)) != len(tokens):
+        raise ParseError("duplicate element labels", no)
+    # a count stays text until it is known to be small
+    n = (tokens[0].lstrip("0") or "0") if count else str(len(tokens))
+    if len(n) > len(str(MAX_ELEMENTS)) or int(n) > MAX_ELEMENTS:
+        raise ParseError(f"{n} elements exceeds the limit of {MAX_ELEMENTS}", no)
+    labels = tuple(map(str, range(1, int(n) + 1))) if count else tuple(tokens)
+    for lbl in labels:
+        if any(ch in lbl for ch in "{},="):
+            raise ParseError(f"element label {lbl!r} contains a reserved character "
+                             "(one of { } , =)", no)
+    return {lbl: i for i, lbl in enumerate(labels, start=1)}
+
+
+def _order(body, index, no):
+    try:
+        order = tuple(index[t] for t in body.split())
+    except KeyError as e:
+        raise ParseError(f"unknown element {e.args[0]!r} in order", no) from None
+    if sorted(order) != list(range(1, len(index) + 1)):
+        raise ParseError("order must list every element exactly once", no)
+    return order
+
+
+def _sets(body, index, no):
+    masks = []
+    for inside in SET_RE.findall(body):
+        mask = 0
+        for part in inside.split(",") if inside.strip() else ():
+            mask |= 1 << (_element(part.strip(), index, no) - 1)
+        masks.append(mask)
+    if SET_RE.sub("", body).strip():
+        raise ParseError(f"unexpected text {SET_RE.sub('', body).strip()!r} in set list", no)
+    return tuple(masks)
+
+
+def _edges(body, index, no):
+    edges = {}  # element -> its edge; each element labels exactly one
+    for lbl, u, v in _tokens(body, no, "edge", "label=u-v", r"([^=]*)=([^-]+)-(.+)"):
+        e = _element(lbl, index, no)
+        if e in edges:
+            raise ParseError(f"element {lbl!r} labels more than one edge", no)
+        edges[e] = (e, u, v)
+    missing = [lbl for lbl, e in index.items() if e not in edges]
+    if missing:
+        raise ParseError(f"elements without an edge: {' '.join(missing)}", no)
+    return tuple(edges.values())
+
+
+def _element(label, index, no):
+    if label not in index:
+        raise ParseError(f"unknown element {label!r}", no)
+    return index[label]
+
+
+def _tokens(body, no, kind, form, pattern):
+    """The parts `pattern` cuts each token of `body` into, one token at a time.  Both
+    patterns cut at the first '=', and an edge's ends at the first '-' after it."""
+    cut = re.compile(pattern).fullmatch
+    for token in body.split():
+        m = cut(token)
+        if not m:
+            raise ParseError(f"bad {kind} {token!r}; expected {form}", no)
+        yield m.groups()
+
+
+# keyword (a line's first word) -> the pattern its whole head must match, the
+# message when it does not or the colon is missing, and the parser of its body
+_LINES = {
+    "elements": (re.compile("elements"), "expected 'elements: ...'", _elements),
+    "order": (re.compile("order"), "expected 'order: ...'", _order),
+    "matroid": (re.compile(r"matroid\s+(?P<name>\S+)\s+(?P<kind>circuits|bases)"),
+                "expected 'matroid <name> circuits: ...' or 'matroid <name> bases: ...'", _sets),
+    "graph": (re.compile(r"(?P<kind>graph)\s+(?P<name>\S+)\s+edges"),
+              "expected 'graph <name> edges: ...'", _edges),
+    "identify": (re.compile("identify"), "expected 'identify: ...'",
+                 lambda body, _, no: tuple(_tokens(body, no, "identification", "u=v", r"([^=]+)=(.+)"))),
+}
 
 
 def document_matroids(doc: InputDocument) -> list:

@@ -125,6 +125,24 @@ def test_parse_error_messages(text, message):
     assert str(exc.value) == message
 
 
+README_EDGES = "graph G edges: 1=a-b 2=b-c 3=c-a 4=c-d 5=d-a\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # the whole head, not only its first word, and then its colon
+    ("elements: 5\n" + README_EDGES + "identify a=b\n", "line 3: expected 'identify: ...'"),
+    ("elements: 5\n" + README_EDGES + "identify x: a=b\n", "line 3: expected 'identify: ...'"),
+    ("elements x: 5\n" + README_EDGES, "line 1: expected 'elements: ...'"),
+    ("elements: 2\norder junk: 2 1\nmatroid M bases: {1}\n", "line 2: expected 'order: ...'"),
+    ("elements: 2\norder 2 1\nmatroid M bases: {1}\n", "line 2: expected 'order: ...'"),
+    ("elements: 0\norder\nmatroid M bases: {}\n", "line 2: expected 'order: ...'"),
+])
+def test_a_head_is_exactly_its_keyword_with_its_colon(monkeypatch, capsys, text, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["tutte"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cmd_tutte_refuses_an_unknown_method():
     with pytest.raises(DomainError) as exc:
         cmd_tutte(parse_input(U12_DOC), "nope")

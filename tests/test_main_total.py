@@ -2,7 +2,8 @@
 
 Documents are drawn from the input grammar on at most 6 elements, with the
 faults a user makes mixed in: unknown or reserved labels, broken orders,
-sets that break the axioms, pairs that are no perspective, stray lines.
+sets that break the axioms, pairs that are no perspective, heads without
+their colon or with a stray word before it, stray lines.
 Every command runs on each one in-process.  Each must return 0–3 without
 raising; a nonzero exit prints exactly one line on stderr, and exit 0 none.
 The examples are derandomized, so every run tries the same documents.
@@ -100,6 +101,9 @@ def documents(draw):
         lines.append("identify: " + " ".join(f"{u}={v}" for u, v in pairs))
     elif shape == "none":
         lines.pop()
+    if slip():  # a head without its colon, or with a word before the colon
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i].replace(":", draw(st.sampled_from(["", " x:"])), 1)
     if slip():
         lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
     return "\n".join(lines) + "\n"

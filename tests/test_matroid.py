@@ -263,3 +263,9 @@ def test_empty_ground_set():
     assert m.rank() == 0
     assert m.circuits == ()
     assert m.dual() == m
+
+
+def test_repr_shows_the_first_four_bases():
+    assert repr(uniform_matroid(1, GroundSet(2))) == "Matroid(rank 1 on {1,2}; bases {1}, {2})"
+    assert repr(uniform_matroid(2, GroundSet(5))) == (
+        "Matroid(rank 2 on {1,2,3,4,5}; bases {1,2}, {1,3}, {2,3}, {1,4}, ... (10 bases))")

@@ -46,6 +46,12 @@ def test_constructor_rejects_invalid_pairs_naming_circuit():
         Perspective(uniform_matroid(1, e), free_matroid(e))
 
 
+def test_repr_shows_both_matroids():
+    e = GroundSet(2)
+    assert repr(Perspective(uniform_matroid(1, e), rank_zero_matroid(e))) == (
+        "Perspective(Matroid(rank 1 on {1,2}; bases {1}, {2}), Matroid(rank 0 on {1,2}; bases {}))")
+
+
 def test_quotients_by_theorem_skip_the_rank_step_pass(corpus, monkeypatch):
     # every matroid has itself and its rank-0 matroid as quotients, so
     # neither pair needs the pass over the rank tables

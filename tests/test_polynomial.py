@@ -48,6 +48,15 @@ def test_canonical_string():
     assert str(-X) == "-x"
     assert str(X - 2) == "x - 2"
     assert str(Poly({(0, 3, 0): -4, (1, 0, 0): 1})) == "x - 4*y^3"
+    assert repr(X - 2) == "Poly(x - 2)"
+
+
+def test_mixed_operands():
+    assert 1 - X == ONE - X == Poly({(1, 0, 0): -1, (0, 0, 0): 1})
+    with pytest.raises(TypeError):
+        X + "a"
+    with pytest.raises(TypeError):
+        X * "a"
 
 
 def test_zero_terms_pruned():

@@ -82,7 +82,8 @@ ROWS = [
     *(row(f"rank-gen-{d}", ["tutte", "--method", "rank-gen", *doc(d)], 0,
           same_as("tutte", "--method", "activities", *doc(d))) for d in TRIANGLES),
     *(row(f"error-{d}", ["tutte", *doc(d)], code, EMPTY, golden(f"{d}_stderr.txt")) for d, code in
-      (("non_perspective", 2), ("oversized", 1), ("labelled_bad_bases", 1), ("graph_missing_edge", 1))),
+      (("non_perspective", 2), ("oversized", 1), ("labelled_bad_bases", 1), ("graph_missing_edge", 1),
+       ("identify_no_colon", 1))),
     *(row(f"identify_collision-{m}", ["tutte", "--method", m, *doc("identify_collision")], 0,
           golden("identify_collision_tutte.txt")) for m in ("activities", "compatible", "rank-gen")),
     row("check-summary", ["check", *doc("two_triangles_graph")], 0, last_line("all checks passed")),

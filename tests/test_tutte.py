@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from mptutte import (
+    ConsistencyError,
     GroundSet,
     Matroid,
     Perspective,
@@ -142,6 +143,12 @@ def test_specialize_m0(fixture):
     assert specialize_m0(m) == expected
     assert specialize_m0(free_matroid(GroundSet(1))) == Z + 1
     assert specialize_m0(rank_zero_matroid(GroundSet(1))) == Y
+
+
+def test_specialize_m0_raises_when_the_routes_disagree(monkeypatch):
+    monkeypatch.setattr("mptutte.tutte.tutte_bivariate_crapo", lambda m: Y)
+    with pytest.raises(ConsistencyError, match=r"activities gave z \+ 1, T_M\(z\+1, y\) gave y$"):
+        specialize_m0(free_matroid(GroundSet(1)))
 
 
 def test_specialize_m0_small(small_matroids):
