@@ -7,7 +7,7 @@ not exactly one of them, or lacks the colon, is refused on its line::
     elements: <n>                       # or a label list (no { } , or =): a b c
     order: <e1> <e2> ... <en>           # optional, ascending <; default natural
     matroid <name> circuits: {1,2} {3}  # or: matroid <name> bases: {1} {2}
-    graph <name> edges: 1=u-v 2=v-w     # edge labels are the elements
+    graph <name> edges: 1=u-v 2=v-w     # edge labels are the elements; no = in a vertex
     identify: u=v w=x                   # second matroid from the graph stanza
 
 One matroid stanza makes a single-matroid document (commands lift it to the
@@ -29,7 +29,6 @@ stdout and error lines written, as UTF-8 whatever the locale.
 import argparse
 import functools
 import os
-import random
 import re
 import sys
 from collections import Counter, namedtuple
@@ -158,6 +157,8 @@ def _edges(body, index, no):
     edges = {}  # element -> its edge; each element labels exactly one
     for lbl, u, v in _tokens(body, no, "edge", "label=u-v", r"([^=]*)=([^-]+)-(.+)"):
         e = _element(lbl, index, no)
+        if "=" in u + v:  # 'identify: u=v' could not name the vertex
+            raise ParseError(f"vertex name {u if '=' in u else v!r} contains the reserved character =", no)
         if e in edges:
             raise ParseError(f"element {lbl!r} labels more than one edge", no)
         edges[e] = (e, u, v)
@@ -318,6 +319,7 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         return f"T = {base}; max z exponent {base.max_z_exponent()}"
 
     def order_invariance():
+        import random  # only check needs it, so other commands skip its import
         rng = random.Random(seed)
         n = doc.ground.size
         for i in range(10):

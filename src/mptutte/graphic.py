@@ -14,7 +14,7 @@ import functools
 from collections import namedtuple
 
 from .errors import DomainError
-from .matroid import Matroid, _lanes_equal
+from .matroid import Matroid
 from .setcore import GroundSet
 
 
@@ -78,19 +78,24 @@ def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
     return Matroid._from_dependent(ground, _zero_sums(g))
 
 
-def _zero_sums(g: Multigraph) -> int:
+def _zero_sums(g: Multigraph) -> bytearray:
     """Byte lanes, 0xFF at each nonempty edge set whose incidence columns sum
     to zero over GF(2), 8 vertex rows (one byte plane) at a time, each plane
     by doubling: sums[S + e] = sums[S] ^ column(e).  The first vertex's row
     is left out: every column has two ones or none, so it sums the others."""
     row = {v: 1 << k for k, v in enumerate(g.vertices[1:])}
     columns = [row.get(u, 0) ^ row.get(v, 0) for _, u, v in sorted(g.edges)]  # by label
-    zero = (1 << (8 << len(columns))) - 256  # every lane but the empty set's
+    zero = bytearray(b"\xff") * (1 << len(columns))
     for plane in range(0, len(row), 8):
         sums = bytearray(1)
         for c in columns:
             sums += sums.translate(_xor_table((c >> plane) & 0xFF))
-        zero &= _lanes_equal(sums, 0)
+        sums = sums.translate(b"\xff" + bytes(255))  # 0xFF where this plane sums to zero
+        if plane:  # and where the planes before it do too
+            sums = bytearray((int.from_bytes(zero, "little") & int.from_bytes(sums, "little"))
+                             .to_bytes(len(sums), "little"))
+        zero = sums
+    zero[0] = 0  # the empty set
     return zero
 
 

@@ -11,15 +11,15 @@ r*(S) = |S| - r(E) + r(E - S).
 
 Every input is built into its table first and checked there.  Bases,
 circuits and graphs (graphic.cycle_matroid) first become independence
-flags, an int with one byte lane per subset, 0xFF on the independent ones:
-the downward closure of the bases, or the complement of the upward closure
-of the circuits or of a graph's edge sets whose incidence columns sum to
-zero.  One max-plus zeta transform turns the flags into the table.
-Closures and transform take one big-int pass per element: the subset zeta
-transform of Bjorklund-Husfeldt-Kaski-Koivisto (FOCS 2008).  A table takes
-O(n 2^n) time and about 9 * 2^n bytes of peak memory; GroundSet keeps n at
-most 24.  The trivial matroids need no flags: U_{k,n}, free (k = n) and
-rank 0 (k = 0), are the closed form r(S) = min(|S|, k).
+flags, one byte lane per subset, 0xFF on the independent ones: the
+downward closure of the bases, or the complement of the upward closure of
+the circuits or of a graph's edge sets whose incidence columns sum to zero.
+One max-plus zeta transform turns the flags into the table.  Each such
+whole-table pass is one lane_sweep: the subset zeta transform of
+Bjorklund-Husfeldt-Kaski-Koivisto (FOCS 2008) in blocks of 2^12 lanes.  A
+table takes O(n 2^n) time and about 4 * 2^n bytes of peak memory;
+GroundSet keeps n at most 24.  The trivial matroids need no flags: U_{k,n},
+free (k = n) and rank 0 (k = 0), are the closed form r(S) = min(|S|, k).
 
 Bases are then checked for basis exchange, O(|bases|^2 * n), and circuits
 for the circuit axioms, each looking its sets up in the table: a k-set is a
@@ -48,7 +48,8 @@ class Matroid:
         if not bases:
             raise AxiomError("a matroid needs at least one basis")
         n = ground.mask.bit_length()
-        self.ground, self.ranks = ground, _rank_table(n, _closure(n, _lanes_at(n, bases), up=False))
+        independent = lane_sweep(lane_blocks(_lanes_at(n, bases)), n, lambda f, g, w: f | g, up=False)
+        self.ground, self.ranks = ground, _rank_table(n, independent)
         self._bases, self._circuits, self._dual = bases, None, None
         if validate:
             _check_exchange(self, bases)
@@ -72,30 +73,26 @@ class Matroid:
         return m
 
     @classmethod
-    def _from_dependent(cls, ground: GroundSet, flags: int) -> "Matroid":
+    def _from_dependent(cls, ground: GroundSet, flags: bytes) -> "Matroid":
         """The matroid whose dependent sets are the upward closure of the sets
         whose byte lanes in `flags` are 0xFF; not validated."""
         n = ground.mask.bit_length()
-        flags = ~_closure(n, flags, up=True)  # rebound, so the input is freed before the transform
-        return cls._from_table(ground, _rank_table(n, flags))
+        independent = [~f for f in lane_sweep(lane_blocks(flags), n, lambda f, g, w: f | g)]
+        return cls._from_table(ground, _rank_table(n, independent))
 
     @classmethod
     def _from_table(cls, ground: GroundSet, table: bytes) -> "Matroid":
         """The matroid whose rank table agrees with `table` on the subsets of
-        the ground set; not validated.  Each position h missing from a gapped
-        ground set is made a loop by one lane pass copying lane S - h to S."""
-        size = 1 << ground.mask.bit_length()
-        gaps = (size - 1) ^ ground.mask
-        if gaps:
-            lanes = int.from_bytes(table[:size], "little")
-            while gaps:
-                h = gaps & -gaps
-                gaps ^= h
-                lanes &= lanes_without(size, h, b"\xff")
-                lanes |= lanes << 8 * h
-            table = lanes.to_bytes(size, "little")
+        the ground set; not validated.  The positions missing from a gapped
+        ground set are made loops by one lane sweep over them, copying lane
+        S - h to S for each such position h."""
+        n = ground.mask.bit_length()
+        gaps = [i for i in range(n) if not ground.mask >> i & 1]
+        if gaps:  # a contraction's table can end early, in lanes that hold gaps
+            lanes = lane_blocks(table[:1 << n].ljust(1 << n, b"\0"))
+            table = lane_table(lane_sweep(lanes, n, lambda f, g, w: f & w | g, gaps), 1 << n)
         m = cls.__new__(cls)
-        m.ground, m.ranks = ground, table[:size]
+        m.ground, m.ranks = ground, table[:1 << n]
         m._bases = m._circuits = m._dual = None
         return m
 
@@ -133,22 +130,23 @@ class Matroid:
     def bases(self) -> tuple:
         """All bases, the independent sets of rank r(E), sorted by mask value."""
         if self._bases is None:
-            bases = self._independent() & _lanes_equal(self.ranks, self.rank())
-            self._bases = _members(bases, len(self.ranks))
+            bases = _lanes_equal(self._slack(), 0) & _lanes_equal(self.ranks, self.rank())
+            self._bases = _members(bases.to_bytes(len(self.ranks), "little"))
         return self._bases
 
     @property
     def circuits(self) -> tuple:
         """All circuits, sorted by mask value: the dependent S with no
-        dependent S - i, found by one shift pass over the flags.  Cached."""
+        dependent S - i, by one lane sweep clearing lane S where lane S - i
+        is still set.  A cleared S - i holds a dependent S - i - j for a j
+        done earlier, so S - j is dependent and S was cleared already.
+        Cached."""
         if self._circuits is None:
             n = self.ground.mask.bit_length()
-            dependent = ~self._independent() & ((1 << (8 << n)) - 1)
-            minimal = dependent
-            for i in range(n):
-                minimal &= ~((dependent & lanes_without(1 << n, 1 << i, b"\xff")) << (8 << i))
+            dependent = lane_blocks(self._slack().translate(b"\0" + b"\xff" * 255))
+            minimal = lane_table(lane_sweep(dependent, n, lambda f, g, w: f & ~g), 1 << n)
             # leave out the loops at positions missing from the ground set
-            self._circuits = tuple(c for c in _members(minimal, 1 << n) if c & ~self.ground.mask == 0)
+            self._circuits = tuple(c for c in _members(minimal) if c & ~self.ground.mask == 0)
         return self._circuits
 
     def dual(self) -> "Matroid":
@@ -196,11 +194,11 @@ class Matroid:
                 kept |= b
         return kept
 
-    def _independent(self) -> int:
-        """The independence flags: lane S is 0xFF where r(S) = |S|."""
+    def _slack(self) -> bytes:
+        """|S| - r(S) at index S, which is 0 exactly on the independent sets."""
         size = len(self.ranks)
         slack = int.from_bytes(subset_sizes(size), "little") - int.from_bytes(self.ranks, "little")
-        return _lanes_equal(slack.to_bytes(size, "little"), 0)
+        return slack.to_bytes(size, "little")
 
     # -- plumbing ----------------------------------------------------------
 
@@ -217,47 +215,80 @@ class Matroid:
         return f"Matroid(rank {self.rank()} on {self.ground.fmt(self.ground.mask)}; bases {shown}{more})"
 
 
-def lanes_without(size: int, h: int, fill: bytes) -> int:
-    """`size` byte lanes, lane S holding `fill` when S & h == 0 and 0 otherwise."""
-    return int.from_bytes((fill * h + bytes(h)) * (size // (2 * h)), "little")
+_BLOCK = 1 << 12  # byte lanes per int in a lane sweep: 4 KB, which stays in cache
 
 
-def _lanes_at(n: int, members) -> int:
+def lane_blocks(table) -> list:
+    """The byte lanes of `table` as ints of _BLOCK lanes (one int if no longer)."""
+    if len(table) <= _BLOCK:
+        return [int.from_bytes(table, "little")]
+    return [int.from_bytes(table[k:k + _BLOCK], "little") for k in range(0, len(table), _BLOCK)]
+
+
+def lane_table(blocks: list, size: int) -> bytes:
+    """The `size` byte lanes held by `blocks`: lane_blocks undone."""
+    if len(blocks) == 1:
+        return blocks[0].to_bytes(size, "little")
+    return b"".join(f.to_bytes(_BLOCK, "little") for f in blocks)
+
+
+def block_lanes(n: int, fill: bytes) -> int:
+    """One block of a lane sweep over 2^n lanes, each lane holding `fill`."""
+    return int.from_bytes(fill * min(1 << n, _BLOCK), "little")
+
+
+def lane_sweep(blocks: list, n: int, step, positions=None, up: bool = True) -> list:
+    """The butterfly of the subset zeta transform (Bjorklund-Husfeldt-Kaski-
+    Koivisto, FOCS 2008) on the 2^n byte lanes in `blocks`, in place: for each
+    element position i in `positions` (all n by default), each block f becomes
+    step(f, g, w).  g holds lane S - 2^i at each lane S with i (when not `up`,
+    lane S + 2^i at each S without i) and 0 elsewhere; w is 0xFF on f's lanes
+    without i.  The passes commute, so below the block size all positions run
+    on one block (a mask and a shift each) before the next, while it is in
+    cache; above it, f is a whole block of sets with i (without it, when not
+    `up`), g the aligned block of their partners, and w is 0 (-1)."""
+    block = min(1 << n, _BLOCK)
+    positions = range(n) if positions is None else positions
+    inner = [(int.from_bytes((b"\xff" * h + bytes(h)) * (block // (2 * h)), "little"), 8 * h)
+             for h in (1 << i for i in positions) if h < block]
+    for k, f in enumerate(blocks):
+        for w, s in inner:
+            f = step(f, (f & w) << s if up else (f >> s) & w, w)
+        blocks[k] = f
+    for stride in [(1 << i) // block for i in positions if 1 << i >= block]:
+        for lo in (k for k in range(len(blocks)) if not k & stride):
+            if up:
+                blocks[lo + stride] = step(blocks[lo + stride], blocks[lo], 0)
+            else:
+                blocks[lo] = step(blocks[lo], blocks[lo + stride], -1)
+    return blocks
+
+
+def _lanes_at(n: int, members) -> bytearray:
     """2^n byte lanes, 0xFF at each of the masks `members`."""
     lanes = bytearray(1 << n)
     for s in members:
         lanes[s] = 0xFF
-    return int.from_bytes(lanes, "little")
+    return lanes
 
 
-def _closure(n: int, family: int, up: bool) -> int:
-    """2^n byte lanes, 0xFF at each S in the downward (or, when `up`, upward)
-    closure of the 0xFF lanes of `family`: one shift/OR pass per element."""
-    for i in range(n):
-        without = lanes_without(1 << n, 1 << i, b"\xff")
-        if up:
-            family |= (family & without) << (8 << i)
-        else:
-            family |= (family >> (8 << i)) & without
-    return family
+def _rank_table(n: int, independent: list) -> bytes:
+    """Ranks of all 2^n masks from the independence flags (lane blocks), by
+    the max-plus zeta transform: f(S) = |S| on independent S and 0 elsewhere,
+    then for each element h, f(S) = max(f(S), f(S - h)) on every S containing
+    h.  The sweep's g is f(S - h) there and 0 elsewhere.  Lanes hold 0..24, so
+    lane S of (f | 0x80 lanes) - g is 128 + f(S) - g(S) with no borrow
+    between lanes, and its bit 7 says whether f(S) >= g(S); spread to a 0xFF
+    lane mask, it picks the maximum."""
+    high = block_lanes(n, b"\x80")
 
-
-def _rank_table(n: int, independent: int) -> bytes:
-    """Ranks of all 2^n masks from the independence flags, by the max-plus
-    zeta transform: f(S) = |S| on independent S and 0 elsewhere, then for
-    each element h, f(S) = max(f(S), f(S - h)) on every S containing h.  Lane
-    S of g = (f & lanes without h) << h lanes is f(S - h) there and 0
-    elsewhere.  Lanes hold 0..24, so lane S of (f | 0x80 lanes) - g is
-    128 + f(S) - g(S) with no borrow between lanes, and its bit 7 says
-    whether f(S) >= g(S); spread to a 0xFF lane mask, it picks the maximum."""
-    size = 1 << n
-    f = int.from_bytes(subset_sizes(size), "little") & independent
-    high = int.from_bytes(b"\x80" * size, "little")
-    for i in range(n):
-        g = (f & lanes_without(size, 1 << i, b"\xff")) << (8 << i)
+    def larger(f, g, w):
         ge = (((f | high) - g) & high) >> 7
-        f = g ^ ((f ^ g) & ((ge << 8) - ge))
-    return f.to_bytes(size, "little")
+        return g ^ ((f ^ g) & ((ge << 8) - ge))
+
+    for k, s in enumerate(lane_blocks(subset_sizes(1 << n))):
+        independent[k] &= s
+    return lane_table(lane_sweep(independent, n, larger), 1 << n)
 
 
 def subset_sizes(size: int, mask: int = -1) -> bytes:
@@ -273,9 +304,9 @@ def _lanes_equal(table: bytes, value: int) -> int:
     return int.from_bytes(table.translate(bytes(value) + b"\xff" + bytes(255 - value)), "little")
 
 
-def _members(lanes: int, size: int) -> tuple:
-    """The indices of the 0xFF lanes among `size` lanes, ascending."""
-    return tuple(m.start() for m in re.finditer(b"\xff", lanes.to_bytes(size, "little")))
+def _members(lanes: bytes) -> tuple:
+    """The indices of the 0xFF lanes, ascending."""
+    return tuple(m.start() for m in re.finditer(b"\xff", lanes))
 
 
 def _check_exchange(m: Matroid, bases: tuple):

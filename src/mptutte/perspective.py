@@ -21,7 +21,7 @@ validation when it changes the order.
 
 from .activities import valid_sets
 from .errors import DomainError, PerspectiveError
-from .matroid import Matroid, lanes_without
+from .matroid import Matroid, block_lanes, lane_blocks, lane_sweep
 from .setcore import GroundSet, bit
 
 
@@ -110,18 +110,20 @@ class Perspective:
 def _rank_steps_dominate(matroid: Matroid, quotient: Matroid) -> bool:
     """True iff r_M(X + e) - r_M(X) >= r_M'(X + e) - r_M'(X) for all X, e.
 
-    Both tables are packed into one int with a byte lane per subset, lane
-    X = 64 + r_M(X) - r_M'(X).  For e at bit h, (lanes >> h lanes) - lanes + 64
-    holds, on every lane X without e, 64 plus the step difference: 63..65,
-    with bit 6 set iff the condition holds at (X, e).  No carry or borrow
-    reaches those lanes: every lane below size - h stays in 16..112, and the
-    negative lanes above it all contain e.
+    In byte lanes X = 64 + r_M(X) - r_M'(X), which hold 40..88, that says
+    lane X + e >= lane X.  A lane sweep over the ground set compares lane S
+    with lane S - e as the rank transform does: lane S of (f | 0x80 lanes) - g
+    is 128 + f(S) - g(S), with no borrow, and bit 7 is clear where f(S) < g(S).
     """
-    size = len(matroid.ranks)
-    bias = int.from_bytes(b"\x40" * size, "little")
-    lanes = int.from_bytes(matroid.ranks, "little") + bias - int.from_bytes(quotient.ranks, "little")
-    for e in matroid.ground.order:
-        h = bit(e)
-        if lanes_without(size, h, b"\x40") & ~((lanes >> (8 * h)) - lanes + bias):
-            return False
-    return True
+    n = len(matroid.ranks).bit_length() - 1
+    bias, high = block_lanes(n, b"\x40"), block_lanes(n, b"\x80")
+    lanes = [m + bias - q for m, q in zip(lane_blocks(matroid.ranks), lane_blocks(quotient.ranks))]
+    falls = 0
+
+    def compare(f, g, w):
+        nonlocal falls
+        falls |= high & ~((f | high) - g)
+        return f
+
+    lane_sweep(lanes, n, compare, [e - 1 for e in matroid.ground.order])
+    return not falls

@@ -113,6 +113,9 @@ GRAPH_1 = "elements: 1\ngraph G edges: 1=a-b\n"
     (GRAPH_1 + "identify: =b\n", "line 3: bad identification '=b'; expected u=v"),
     (GRAPH_1 + "identify: a=\n", "line 3: bad identification 'a='; expected u=v"),
     (GRAPH_1 + "identify: a=b=c\n", "line 3: unknown vertex in identification a=b=c"),
+    ("elements: 2\ngraph G edges: 1=a=x-b 2=b-c\n",
+     "line 2: vertex name 'a=x' contains the reserved character ="),
+    ("elements: 1\ngraph G edges: 1=a-b=y\n", "line 2: vertex name 'b=y' contains the reserved character ="),
     ("# nothing\n", "missing 'elements:' declaration"),
     ("", "missing 'elements:' declaration"),
     ("order: 1\nelements: 1\n", "line 1: 'elements:' must come before this line"),
@@ -550,10 +553,10 @@ def test_closed_stdout_keeps_a_failing_checks_exit_code(capsys, monkeypatch):
 
 
 def test_import_surface_stays_small():
-    """Importing the CLI loads neither dataclasses, typing nor inspect (-S keeps
-    site hooks, which may import them on their own, out of the count)."""
+    """Importing the CLI loads none of dataclasses, typing, inspect and random
+    (-S keeps site hooks, which may import them on their own, out of the count)."""
     code = ("import sys; import mptutte.cli; "
-            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'typing', 'inspect', 'random'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
