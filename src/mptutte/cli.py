@@ -221,12 +221,15 @@ def document_matroids(doc: InputDocument) -> list:
     return out
 
 
-def document_perspective(doc: InputDocument) -> Perspective:
-    """The document's perspective; single-matroid documents lift to (M, M)."""
+def document_perspective(doc: InputDocument, checked: bool = False) -> Perspective:
+    """The document's perspective; single-matroid documents lift to (M, M).
+    A graph beside its identification is a perspective by theorem, so that
+    pair is checked only when `checked` asks for it; every other pair is
+    always checked."""
     ms = document_matroids(doc)
-    if len(ms) == 1:
-        return Perspective(ms[0][1], ms[0][1])
-    return Perspective(ms[0][1], ms[1][1])
+    if doc.identify_classes is not None and not checked:
+        return Perspective._unchecked(ms[0][1], ms[1][1])
+    return Perspective(ms[0][1], ms[-1][1])
 
 
 # -- commands ----------------------------------------------------------------
@@ -261,7 +264,7 @@ def cmd_compatible(doc: InputDocument) -> str:
 
 def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
     """Run the full property suite; returns (report text, all passed)."""
-    p = document_perspective(doc)
+    p = document_perspective(doc, checked=True)
     fmt = doc.ground.fmt
     results = [("perspective validation", True, "")]
 

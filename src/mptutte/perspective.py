@@ -3,7 +3,18 @@
 The pair (M, M') is a perspective when every circuit of M is a union of
 circuits of M' (equivalently, the identity is a strong map and M' is a
 quotient of M).  Construction validates this and fails loudly; there is no
-unchecked escape hatch in the public surface.
+unchecked escape hatch in the public surface.  The private
+`Perspective._unchecked` skips the check for two callers whose pairs are
+perspectives by theorem:
+
+- `Perspective.reordered`: rank tables are indexed by mask, not by the order
+  `<`, and neither form of the condition below mentions the order, so a
+  checked pair stays a perspective under any order, with the same tables.
+- `cli.document_perspective`, for a graph G and its identification G/~ (all
+  commands but `check`): with F a forest of new edges joining each class and
+  N = M(G + F), M(G) = N \\ F and M(G/~) = N / F, and a contraction is always
+  a quotient of the deletion of the same set (Las Vergnas 1980; Oxley,
+  Matroid Theory, Sec. 7.3).
 
 The check runs on the rank tables: M' is a quotient of M iff every one-element
 step gains at least as much rank in M as in M', r_M(X + e) - r_M(X) >=
@@ -13,10 +24,6 @@ union of M'-circuits iff each e in C lies in an M'-circuit inside C, i.e.
 r_M'(C - e) = r_M'(C).  So a failing pair is reported by the first circuit of
 M, in mask order, with an e where r_M'(C - e) < r_M'(C): the circuit that the
 circuit-union scan names.
-
-Rank tables are indexed by mask, not by the order `<`, and neither form of
-the condition mentions the order, so reordered keeps both tables and the
-validation when it changes the order.
 """
 
 from .activities import valid_sets
@@ -57,6 +64,14 @@ class Perspective:
         self.matroid = matroid
         self.quotient = quotient
 
+    @classmethod
+    def _unchecked(cls, matroid: Matroid, quotient: Matroid) -> "Perspective":
+        """The pair, not checked: only for pairs that are perspectives by
+        theorem (see the module docstring)."""
+        p = cls.__new__(cls)
+        p.matroid, p.quotient = matroid, quotient
+        return p
+
     @property
     def ground(self):
         return self.matroid.ground
@@ -85,9 +100,7 @@ class Perspective:
             raise DomainError(f"order {order!r} is not a permutation of the ground set "
                               f"{self.ground.fmt(self.ground.mask)}")
         ground = GroundSet.from_order(order, self.ground.names)
-        p = Perspective.__new__(Perspective)
-        p.matroid, p.quotient = self.matroid.reordered(ground), self.quotient.reordered(ground)
-        return p
+        return Perspective._unchecked(self.matroid.reordered(ground), self.quotient.reordered(ground))
 
     def independent_spanning_sets(self) -> list:
         """All sets independent in `matroid` and spanning in `quotient`,

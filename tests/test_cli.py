@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mptutte import ConsistencyError, DomainError, ParseError, cli
+from mptutte import ConsistencyError, DomainError, ParseError, cli, perspective
 from mptutte.cli import (
     cmd_check,
     cmd_compatible,
@@ -19,7 +19,7 @@ from mptutte.cli import (
     main,
     parse_input,
 )
-from corpus import fixture_perspective
+from corpus import fixture_perspective, ladder
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = (DATA / "two_triangles.txt").read_text()
@@ -366,6 +366,32 @@ def test_identify_keeps_a_vertex_named_like_a_merged_class(capsys, method):
     doc = str(DATA / "identify_collision.txt")
     assert main(["tutte", "--method", method, "--input", doc]) == 0
     assert capsys.readouterr() == ((DATA / "identify_collision_tutte.txt").read_text(), "")
+
+
+README_IDENTIFY = "elements: 5\ngraph G edges: 1=a-b 2=b-c 3=c-a 4=c-d 5=d-a\nidentify: a=b\n"
+LADDER_14 = ("elements: 14\ngraph G edges: " + " ".join(f"{i}={u}-{v}" for i, u, v in ladder(14).edges)
+             + "\nidentify: v0=v3\n")
+
+
+@pytest.mark.parametrize("text, passes", [(README_IDENTIFY, [0, 0, 0, 0, 0, 1]),
+                                          (LADDER_14, [0, 0, 0, 0, 0, 1]),
+                                          (FIXTURE, [1, 1, 1, 1, 1, 1])],
+                         ids=["readme-identify", "ladder-14", "two-stanzas"])
+def test_only_check_proves_an_identified_pair(monkeypatch, capsys, text, passes):
+    # a graph beside its identification is a perspective by theorem, so only
+    # check runs the rank-step pass on it; a pair of stanzas is always checked
+    calls = []
+    real = perspective._rank_steps_dominate
+    monkeypatch.setattr(perspective, "_rank_steps_dominate", lambda m, q: calls.append(1) or real(m, q))
+    counts = []
+    for argv in ([["tutte", "--method", m] for m in sorted(cli.METHODS)]
+                 + [["table"], ["compatible"], ["check"]]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        calls.clear()
+        assert main(argv) == 0
+        counts.append(len(calls))
+    assert counts == passes
+    assert capsys.readouterr().out.endswith("all checks passed\n")
 
 
 @pytest.mark.parametrize("elements, names", [("a b c d", "abcd"), ("4", "1234")])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,14 +7,15 @@ from mptutte import (
     DomainError,
     GroundSet,
     Multigraph,
+    Perspective,
     cycle_matroid,
     identify_vertices,
     rank_zero_matroid,
     uniform_matroid,
-    validate_perspective,
 )
 from mptutte.graphic import components
 from corpus import _graph_circuit_family, fixture_matroids, ladder, slot_canonical_graphs
+from oracle import check_perspective
 
 TWO_TRIANGLES = Multigraph(
     vertices=("a", "b", "c", "d"),
@@ -183,17 +185,23 @@ def test_rank_is_vertices_minus_components():
 
 
 def test_identification_always_yields_perspective():
+    # multigraphs with loops and parallel edges on up to 12 vertices: from 10
+    # on, the cycle-space builder sums the incidence columns in two byte planes
     rng = random.Random(23)
-    trials = 0
-    while trials < 50:
-        g = random_graph(rng)
+    seen = Counter()
+    while seen["trials"] < 60:
+        g = random_graph(rng, max_vertices=12, max_edges=14)
         if not g.edges:
             continue
-        trials += 1
         m = cycle_matroid(g)
         merged = identify_vertices(g, random_partition(rng, g.vertices))
         mq = cycle_matroid(merged, m.ground)
-        assert validate_perspective(m, mq)
+        Perspective(m, mq)
+        check_perspective(m, mq)
+        ends = [frozenset((u, v)) for _, u, v in g.edges]
+        seen.update(trials=1, loops=any(len(e) == 1 for e in ends), parallel=len(set(ends)) < len(ends),
+                    two_planes=len(g.vertices) > 9, checked=bool(mq.rank() and mq.ranks != m.ranks))
+    assert min(seen[k] for k in ("loops", "parallel", "two_planes", "checked")) >= 5, seen
 
 
 def random_graph(rng, max_vertices=5, max_edges=7):

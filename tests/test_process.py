@@ -86,6 +86,9 @@ ROWS = [
        ("identify_no_colon", 1))),
     *(row(f"identify_collision-{m}", ["tutte", "--method", m, *doc("identify_collision")], 0,
           golden("identify_collision_tutte.txt")) for m in ("activities", "compatible", "rank-gen")),
+    *(row(f"identify_merges-{m}", ["tutte", "--method", m, *doc("identify_merges")], 0,
+          golden("identify_merges_tutte.txt")) for m in ("activities", "compatible", "rank-gen")),
+    row("identify_merges-table", ["table", *doc("identify_merges")], 0, golden("identify_merges_table.tsv")),
     row("check-summary", ["check", *doc("two_triangles_graph")], 0, last_line("all checks passed")),
     row("usage-error", ["tutte", "--method", "foo"], 1, EMPTY, search("invalid choice: 'foo'")),
     row("missing-command", [], 1, EMPTY, search("^usage: mptutte")),
