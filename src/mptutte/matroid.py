@@ -11,12 +11,14 @@ r*(S) = |S| - r(E) + r(E - S).
 
 Every input is built into its table first and checked there.  Bases,
 circuits and graphs (graphic.cycle_matroid) first become independence
-flags, one byte lane per subset, 0xFF on the independent ones: the
-downward closure of the bases, or the complement of the upward closure of
-the circuits or of a graph's edge sets whose incidence columns sum to zero.
-One max-plus zeta transform turns the flags into the table.  Each such
-whole-table pass is one lane_sweep: the subset zeta transform of
-Bjorklund-Husfeldt-Kaski-Koivisto (FOCS 2008) in blocks of 2^12 lanes.  A
+flags, one byte lane per subset, 0xFF on the independent ones: the upward
+closure of the complements E - B of the bases, read in reverse (S is
+independent iff E - S contains some E - B), or the complement of the upward
+closure of the circuits or of a graph's edge sets whose incidence columns
+sum to zero.  One max-plus zeta transform turns the flags into the table.
+Each such whole-table pass is one lane_sweep, upward only, with a step of
+two blocks: the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto
+(FOCS 2008) in blocks of 2^12 lanes.  A
 table takes O(n 2^n) time and about 4 * 2^n bytes of peak memory;
 GroundSet keeps n at most 24.  The trivial matroids need no flags: U_{k,n},
 free (k = n) and rank 0 (k = 0), are the closed form r(S) = min(|S|, k).
@@ -33,6 +35,7 @@ circuits.
 import re
 from copy import copy
 from itertools import combinations
+from operator import or_
 
 from .errors import AxiomError, DomainError
 from .setcore import GroundSet, bit
@@ -48,7 +51,8 @@ class Matroid:
         if not bases:
             raise AxiomError("a matroid needs at least one basis")
         n = ground.mask.bit_length()
-        independent = lane_sweep(lane_blocks(_lanes_at(n, bases)), n, lambda f, g, w: f | g, up=False)
+        complements = lane_sweep(lane_blocks(_lanes_at(n, (((1 << n) - 1) ^ b for b in bases))), n, or_)
+        independent = lane_blocks(lane_table(complements, 1 << n)[::-1])
         self.ground, self.ranks = ground, _rank_table(n, independent)
         self._bases, self._circuits, self._dual = bases, None, None
         if validate:
@@ -77,20 +81,21 @@ class Matroid:
         """The matroid whose dependent sets are the upward closure of the sets
         whose byte lanes in `flags` are 0xFF; not validated."""
         n = ground.mask.bit_length()
-        independent = [~f for f in lane_sweep(lane_blocks(flags), n, lambda f, g, w: f | g)]
+        independent = [~f for f in lane_sweep(lane_blocks(flags), n, or_)]
         return cls._from_table(ground, _rank_table(n, independent))
 
     @classmethod
     def _from_table(cls, ground: GroundSet, table: bytes) -> "Matroid":
         """The matroid whose rank table agrees with `table` on the subsets of
         the ground set; not validated.  The positions missing from a gapped
-        ground set are made loops by one lane sweep over them, copying lane
-        S - h to S for each such position h."""
+        ground set are made loops: every lane S that holds one is cleared,
+        and an OR sweep over those positions then gives lane S the one
+        gap-free lane below it, S less its gap positions."""
         n = ground.mask.bit_length()
         gaps = [i for i in range(n) if not ground.mask >> i & 1]
         if gaps:  # a contraction's table can end early, in lanes that hold gaps
-            lanes = lane_blocks(table[:1 << n].ljust(1 << n, b"\0"))
-            table = lane_table(lane_sweep(lanes, n, lambda f, g, w: f & w | g, gaps), 1 << n)
+            kept = int.from_bytes(table[:1 << n], "little") & _lanes_equal(subset_sizes(1 << n, ~ground.mask), 0)
+            table = lane_table(lane_sweep(lane_blocks(kept.to_bytes(1 << n, "little")), n, or_, gaps), 1 << n)
         m = cls.__new__(cls)
         m.ground, m.ranks = ground, table[:1 << n]
         m._bases = m._circuits = m._dual = None
@@ -144,7 +149,7 @@ class Matroid:
         if self._circuits is None:
             n = self.ground.mask.bit_length()
             dependent = lane_blocks(self._slack().translate(b"\0" + b"\xff" * 255))
-            minimal = lane_table(lane_sweep(dependent, n, lambda f, g, w: f & ~g), 1 << n)
+            minimal = lane_table(lane_sweep(dependent, n, lambda f, g: f & ~g), 1 << n)
             # leave out the loops at positions missing from the ground set
             self._circuits = tuple(c for c in _members(minimal) if c & ~self.ground.mask == 0)
         return self._circuits
@@ -219,49 +224,49 @@ _BLOCK = 1 << 12  # byte lanes per int in a lane sweep: 4 KB, which stays in cac
 
 
 def lane_blocks(table) -> list:
-    """The byte lanes of `table` as ints of _BLOCK lanes (one int if no longer)."""
-    if len(table) <= _BLOCK:
-        return [int.from_bytes(table, "little")]
+    """The byte lanes of `table` as ints of at most _BLOCK lanes each."""
     return [int.from_bytes(table[k:k + _BLOCK], "little") for k in range(0, len(table), _BLOCK)]
 
 
 def lane_table(blocks: list, size: int) -> bytes:
     """The `size` byte lanes held by `blocks`: lane_blocks undone."""
-    if len(blocks) == 1:
-        return blocks[0].to_bytes(size, "little")
-    return b"".join(f.to_bytes(_BLOCK, "little") for f in blocks)
+    return b"".join(f.to_bytes(min(size, _BLOCK), "little") for f in blocks)
 
 
-def block_lanes(n: int, fill: bytes) -> int:
-    """One block of a lane sweep over 2^n lanes, each lane holding `fill`."""
-    return int.from_bytes(fill * min(1 << n, _BLOCK), "little")
-
-
-def lane_sweep(blocks: list, n: int, step, positions=None, up: bool = True) -> list:
+def lane_sweep(blocks: list, n: int, step, positions=None) -> list:
     """The butterfly of the subset zeta transform (Bjorklund-Husfeldt-Kaski-
     Koivisto, FOCS 2008) on the 2^n byte lanes in `blocks`, in place: for each
     element position i in `positions` (all n by default), each block f becomes
-    step(f, g, w).  g holds lane S - 2^i at each lane S with i (when not `up`,
-    lane S + 2^i at each S without i) and 0 elsewhere; w is 0xFF on f's lanes
-    without i.  The passes commute, so below the block size all positions run
-    on one block (a mask and a shift each) before the next, while it is in
-    cache; above it, f is a whole block of sets with i (without it, when not
-    `up`), g the aligned block of their partners, and w is 0 (-1)."""
+    step(f, g), where g holds lane S - 2^i at each lane S with i and 0
+    elsewhere, so a step must keep f's lanes where g is 0.  The passes
+    commute, so below the block size all positions run on one block (a mask
+    and a shift each) before the next, while it is in cache; above it, f is a
+    whole block of sets with i and g the aligned block of their partners."""
     block = min(1 << n, _BLOCK)
     positions = range(n) if positions is None else positions
     inner = [(int.from_bytes((b"\xff" * h + bytes(h)) * (block // (2 * h)), "little"), 8 * h)
              for h in (1 << i for i in positions) if h < block]
     for k, f in enumerate(blocks):
         for w, s in inner:
-            f = step(f, (f & w) << s if up else (f >> s) & w, w)
+            f = step(f, (f & w) << s)
         blocks[k] = f
     for stride in [(1 << i) // block for i in positions if 1 << i >= block]:
         for lo in (k for k in range(len(blocks)) if not k & stride):
-            if up:
-                blocks[lo + stride] = step(blocks[lo + stride], blocks[lo], 0)
-            else:
-                blocks[lo] = step(blocks[lo], blocks[lo + stride], -1)
+            blocks[lo + stride] = step(blocks[lo + stride], blocks[lo])
     return blocks
+
+
+_HIGH = int.from_bytes(b"\x80" * _BLOCK, "little")
+
+
+def lane_max(f: int, g: int) -> int:
+    """The lane-wise maximum of two blocks whose lanes hold 0..127: lane S of
+    (f | 0x80 lanes) - g is 128 + f(S) - g(S) with no borrow between lanes,
+    and its bit 7 says whether f(S) >= g(S); spread to a 0xFF lane mask, it
+    picks the maximum.  _HIGH may be wider than the blocks: its extra lanes
+    pick 0 from both."""
+    ge = (((f | _HIGH) - g) & _HIGH) >> 7
+    return g ^ ((f ^ g) & ge * 255)
 
 
 def _lanes_at(n: int, members) -> bytearray:
@@ -276,26 +281,20 @@ def _rank_table(n: int, independent: list) -> bytes:
     """Ranks of all 2^n masks from the independence flags (lane blocks), by
     the max-plus zeta transform: f(S) = |S| on independent S and 0 elsewhere,
     then for each element h, f(S) = max(f(S), f(S - h)) on every S containing
-    h.  The sweep's g is f(S - h) there and 0 elsewhere.  Lanes hold 0..24, so
-    lane S of (f | 0x80 lanes) - g is 128 + f(S) - g(S) with no borrow
-    between lanes, and its bit 7 says whether f(S) >= g(S); spread to a 0xFF
-    lane mask, it picks the maximum."""
-    high = block_lanes(n, b"\x80")
-
-    def larger(f, g, w):
-        ge = (((f | high) - g) & high) >> 7
-        return g ^ ((f ^ g) & ((ge << 8) - ge))
-
+    h, by lane_max on lanes that hold 0..24."""
     for k, s in enumerate(lane_blocks(subset_sizes(1 << n))):
         independent[k] &= s
-    return lane_table(lane_sweep(independent, n, larger), 1 << n)
+    return lane_table(lane_sweep(independent, n, lane_max), 1 << n)
+
+
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"  # v -> v + 1 mod 256
 
 
 def subset_sizes(size: int, mask: int = -1) -> bytes:
     """|S & mask| at index S for each of `size` subsets, by doubling."""
     sizes = b"\x00"
     while len(sizes) < size:
-        sizes += sizes.translate(bytes(range(1, 256)) + b"\x00") if mask & len(sizes) else sizes
+        sizes += sizes.translate(_PLUS_ONE) if mask & len(sizes) else sizes
     return sizes
 
 

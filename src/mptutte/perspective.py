@@ -4,12 +4,14 @@ The pair (M, M') is a perspective when every circuit of M is a union of
 circuits of M' (equivalently, the identity is a strong map and M' is a
 quotient of M).  Construction validates this and fails loudly; there is no
 unchecked escape hatch in the public surface.  The private
-`Perspective._unchecked` skips the check for two callers whose pairs are
+`Perspective._unchecked` skips the check for three callers whose pairs are
 perspectives by theorem:
 
 - `Perspective.reordered`: rank tables are indexed by mask, not by the order
   `<`, and neither form of the condition below mentions the order, so a
   checked pair stays a perspective under any order, with the same tables.
+- `Perspective.dual`: if (M, M') is a perspective, so is (M'*, M*) (Las
+  Vergnas 1980; Oxley, Matroid Theory, Sec. 7.3).
 - `cli.document_perspective`, for a graph G and its identification G/~ (all
   commands but `check`): with F a forest of new edges joining each class and
   N = M(G + F), M(G) = N \\ F and M(G/~) = N / F, and a contraction is always
@@ -19,7 +21,10 @@ perspectives by theorem:
 The check runs on the rank tables: M' is a quotient of M iff every one-element
 step gains at least as much rank in M as in M', r_M(X + e) - r_M(X) >=
 r_M'(X + e) - r_M'(X) for all X and e (Las Vergnas 1980; Oxley, Matroid
-Theory, Prop. 7.3.6).  The two forms meet on circuits: a circuit C of M is a
+Theory, Prop. 7.3.6).  In byte lanes 64 + r_M(X) - r_M'(X) that says the lanes
+never fall from X to X + e, so the check is a fixed point: the max sweep of
+the rank transform (matroid.lane_max) leaves the lanes unchanged.  The two
+forms meet on circuits: a circuit C of M is a
 union of M'-circuits iff each e in C lies in an M'-circuit inside C, i.e.
 r_M'(C - e) = r_M'(C).  So a failing pair is reported by the first circuit of
 M, in mask order, with an e where r_M'(C - e) < r_M'(C): the circuit that the
@@ -28,7 +33,7 @@ circuit-union scan names.
 
 from .activities import valid_sets
 from .errors import DomainError, PerspectiveError
-from .matroid import Matroid, block_lanes, lane_blocks, lane_sweep
+from .matroid import Matroid, lane_blocks, lane_max, lane_sweep
 from .setcore import GroundSet, bit
 
 
@@ -77,8 +82,9 @@ class Perspective:
         return self.matroid.ground
 
     def dual(self) -> "Perspective":
-        """The dual perspective (quotient*, matroid*); always valid again."""
-        return Perspective(self.quotient.dual(), self.matroid.dual())
+        """The dual perspective (quotient*, matroid*); a perspective by
+        theorem, so not checked again."""
+        return Perspective._unchecked(self.quotient.dual(), self.matroid.dual())
 
     def rank_defect(self, x: int) -> int:
         """r(M) - r(M') - (r_M(X) - r_{M'}(X)); the z exponent of X's term."""
@@ -124,19 +130,12 @@ def _rank_steps_dominate(matroid: Matroid, quotient: Matroid) -> bool:
     """True iff r_M(X + e) - r_M(X) >= r_M'(X + e) - r_M'(X) for all X, e.
 
     In byte lanes X = 64 + r_M(X) - r_M'(X), which hold 40..88, that says
-    lane X + e >= lane X.  A lane sweep over the ground set compares lane S
-    with lane S - e as the rank transform does: lane S of (f | 0x80 lanes) - g
-    is 128 + f(S) - g(S), with no borrow, and bit 7 is clear where f(S) < g(S).
+    lane X + e >= lane X: the lanes are the rank transform's maxima already,
+    so its max sweep leaves them unchanged.  A position missing from the
+    ground set is a loop of both matroids, with equal lanes either side, so
+    the sweep runs over every position.
     """
     n = len(matroid.ranks).bit_length() - 1
-    bias, high = block_lanes(n, b"\x40"), block_lanes(n, b"\x80")
-    lanes = [m + bias - q for m, q in zip(lane_blocks(matroid.ranks), lane_blocks(quotient.ranks))]
-    falls = 0
-
-    def compare(f, g, w):
-        nonlocal falls
-        falls |= high & ~((f | high) - g)
-        return f
-
-    lane_sweep(lanes, n, compare, [e - 1 for e in matroid.ground.order])
-    return not falls
+    lifted = matroid.ranks.translate(bytes(range(64, 256)) + bytes(64))  # v -> v + 64
+    lanes = [m - q for m, q in zip(lane_blocks(lifted), lane_blocks(quotient.ranks))]
+    return lane_sweep(lanes.copy(), n, lane_max) == lanes

@@ -5,7 +5,9 @@ loops of a gapped ground set, the perspective check) runs through
 matroid.lane_sweep on ints of matroid._BLOCK byte lanes.  The corpus tables
 have at most 32 lanes, one block at the default size; with 4-lane blocks
 every element above the second pairs whole blocks.  Both sizes must give the
-same tables, circuits, minors, duals and perspective verdicts.  One default
+same tables, circuits, minors, duals and perspective verdicts, the verdicts
+on gapped minors of the corpus perspectives (forward and reversed) included;
+at the default size those verdicts must also be the oracle's.  One default
 size case at n = 16 (16 blocks) is checked against the oracle's scans.
 """
 
@@ -23,9 +25,9 @@ def identify_v0_v3(g):
     return identify_vertices(g, [("v0", "v3")] + [(v,) for v in g.vertices if v not in ("v0", "v3")])
 
 
-def verdict(m, q):
+def verdict(m, q, check=Perspective):
     try:
-        Perspective(m, q)
+        check(m, q)
     except PerspectiveError as e:
         return str(e)
     return "perspective"
@@ -40,19 +42,39 @@ def minor_sets(m, rng):
 
 
 def build_everything(matroids, graphs, pairs):
-    """Everything the sweep builds, from inputs taken at the default size."""
+    """Everything the sweep builds, from inputs taken at the default size.
+    Each minor is rebuilt from its own gapped ground and bases too, which
+    runs the closure of the complements over gap bits, and must give the
+    minor's table back."""
     rng = random.Random(19)
     out = []
     for m in matroids:
         ground, bases, circuits = m.ground, m.bases, m.circuits
         fresh = Matroid(ground, bases, validate=False)  # cold circuit and dual caches
+        minors = [x for s in minor_sets(m, rng) for x in (m.restrict(s), m.contract(ground.mask ^ s))]
+        assert [Matroid.from_bases(x.ground, x.bases).ranks for x in minors] == [x.ranks for x in minors]
         out.append((Matroid.from_bases(ground, bases).ranks, Matroid.from_circuits(ground, circuits).ranks,
-                    fresh.circuits, fresh.dual().ranks,
-                    [(m.restrict(x).ranks, m.contract(ground.mask ^ x).ranks) for x in minor_sets(m, rng)]))
+                    fresh.circuits, fresh.dual().ranks, [x.ranks for x in minors]))
     for g in graphs:
         out.append((cycle_matroid(g).ranks, cycle_matroid(g).circuits))
     out.extend(verdict(m, q) for m, q in pairs)
     return out
+
+
+def gapped_minor_pairs(corpus):
+    """The restrictions and contractions of the corpus perspectives by
+    minor_sets, and the same pairs reversed, where the ground set has a gap
+    (its mask is not 2^k - 1), the two tables differ and the quotient has
+    rank > 0, so the lane check runs on gapped tables."""
+    rng = random.Random(21)
+    pairs = []
+    for _, p in corpus:
+        m, q = p.matroid, p.quotient
+        for s in minor_sets(m, rng):
+            rest = m.ground.mask ^ s
+            pairs += [(m.restrict(s), q.restrict(s)), (m.contract(rest), q.contract(rest))]
+    pairs += [(q, m) for m, q in pairs]
+    return [(m, q) for m, q in pairs if q.rank() and q.ranks != m.ranks and m.ground.mask & (m.ground.mask + 1)]
 
 
 def test_four_lane_blocks_build_what_one_block_builds(corpus, monkeypatch):
@@ -69,11 +91,16 @@ def test_four_lane_blocks_build_what_one_block_builds(corpus, monkeypatch):
     pairs = [(m, q) for group in by_ground.values() for m in group
              for q in rng.sample(group, min(3, len(group))) if q.rank() and q.ranks != m.ranks]
     pairs.append((cycle_matroid(ladder(12)), cycle_matroid(identify_v0_v3(ladder(12)))))
+    gapped = gapped_minor_pairs(corpus)
+    pairs += gapped
     default = build_everything(matroids, graphs, pairs)
+    assert default[-len(gapped):] == [verdict(m, q, oracle.check_perspective) for m, q in gapped]
     monkeypatch.setattr(matroid_module, "_BLOCK", 4)
     assert build_everything(matroids, graphs, pairs) == default
     accepted = default[-len(pairs):].count("perspective")
     assert accepted >= 50 and len(pairs) - accepted >= 500, "both verdicts are compared"
+    accepted = default[-len(gapped):].count("perspective")
+    assert accepted >= 50 and len(gapped) - accepted >= 50, "both verdicts are compared on gapped pairs"
 
 
 def test_sixteen_elements_match_the_oracle_at_the_default_block_size():
