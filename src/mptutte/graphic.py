@@ -2,12 +2,13 @@
 
 Edges carry the matroid element labels (exactly 1..n, each once); loops and
 parallel edges are allowed and matter: a loop is a one-element circuit, a
-parallel pair a two-element circuit.  A cycle matroid is built from one
-table of every edge set's incidence column sum over GF(2).  Identifying
-vertices coarsens the cycle structure, and (cycle_matroid(G),
-cycle_matroid(G with identified vertices)) is always a perspective.  A
-merged vertex keeps the name of its class's first member, never a new name
-that another vertex might already hold.
+parallel pair a two-element circuit.  A cycle matroid's rank table is
+counted from one table of the edge sets whose incidence columns sum to zero
+over GF(2): those inside S form S's cycle space, so there are
+2^(|S| - r(S)) of them.  Identifying vertices coarsens the cycle structure,
+and (cycle_matroid(G), cycle_matroid(G with identified vertices)) is always
+a perspective.  A merged vertex keeps the name of its class's first member,
+never a new name that another vertex might already hold.
 """
 
 import functools
@@ -68,29 +69,33 @@ def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
 
     An edge set is dependent iff it holds a nonempty subset whose incidence
     columns sum to zero over GF(2), an edge-disjoint union of circuits
-    (Veblen); a loop's column is zero.  Nothing is re-validated.
+    (Veblen); a loop's column is zero.  Those subsets are counted, in lanes
+    as wide as g's nullity m - |V| + #components needs.  Nothing is
+    re-validated.
     """
     m = len(g.edges)
     if ground is None:
         ground = GroundSet(m)
     elif ground.mask != (1 << m) - 1:
         raise DomainError(f"ground set labels {sorted(ground.order)} are not the edge labels 1..{m}")
-    return Matroid._from_dependent(ground, _zero_sums(g))
+    nullity = m - len(g.vertices) + len(components(g.vertices, ((u, v) for _, u, v in g.edges)))
+    return Matroid._from_zero_sums(ground, _zero_sums(g), nullity)
 
 
 def _zero_sums(g: Multigraph) -> bytearray:
-    """Byte lanes, 0xFF at each nonempty edge set whose incidence columns sum
-    to zero over GF(2), 8 vertex rows (one byte plane) at a time, each plane
-    by doubling: sums[S + e] = sums[S] ^ column(e).  The first vertex's row
-    is left out: every column has two ones or none, so it sums the others."""
+    """Byte lanes, 1 at each nonempty edge set whose incidence columns sum to
+    zero over GF(2) and 0 elsewhere, 8 vertex rows (one byte plane) at a
+    time, each plane by doubling: sums[S + e] = sums[S] ^ column(e).  The
+    first vertex's row is left out: every column has two ones or none, so it
+    sums the others."""
     row = {v: 1 << k for k, v in enumerate(g.vertices[1:])}
     columns = [row.get(u, 0) ^ row.get(v, 0) for _, u, v in sorted(g.edges)]  # by label
-    zero = bytearray(b"\xff") * (1 << len(columns))
+    zero = bytearray(b"\x01") * (1 << len(columns))
     for plane in range(0, len(row), 8):
         sums = bytearray(1)
         for c in columns:
             sums += sums.translate(_xor_table((c >> plane) & 0xFF))
-        sums = sums.translate(b"\xff" + bytes(255))  # 0xFF where this plane sums to zero
+        sums = sums.translate(b"\x01" + bytes(255))  # 1 where this plane sums to zero
         if plane:  # and where the planes before it do too
             sums = bytearray((int.from_bytes(zero, "little") & int.from_bytes(sums, "little"))
                              .to_bytes(len(sums), "little"))

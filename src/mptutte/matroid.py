@@ -9,16 +9,19 @@ index arithmetic (Oxley, Matroid Theory, 2.1 and 3.1):
 r_{M|X}(S) = r(S), r_{M/X}(S) = r(S + X) - r(X) and
 r*(S) = |S| - r(E) + r(E - S).
 
-Every input is built into its table first and checked there.  Bases,
-circuits and graphs (graphic.cycle_matroid) first become independence
-flags, one byte lane per subset, 0xFF on the independent ones: the upward
-closure of the complements E - B of the bases, read in reverse (S is
+Every input is built into its table first and checked there.  Bases and
+circuits first become independence flags, one byte lane per subset: the
+upward closure of the complements E - B of the bases, read in reverse (S is
 independent iff E - S contains some E - B), or the complement of the upward
-closure of the circuits or of a graph's edge sets whose incidence columns
-sum to zero.  One max-plus zeta transform turns the flags into the table.
-Each such whole-table pass is one lane_sweep, upward only, with a step of
-two blocks: the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto
-(FOCS 2008) in blocks of 2^12 lanes.  A
+closure of the circuits.  One max-plus zeta transform turns the flags into
+the table.  A graph (graphic.cycle_matroid) is counted instead: the subsets
+of S whose incidence columns sum to zero over GF(2) form S's cycle space, of
+dimension |S| - r(S), so one additive zeta transform of their flags holds
+2^(|S| - r(S)) - 1 in lane S, and a byte log gives r(S).  Each such
+whole-table pass is one lane_sweep, upward only, with a step of two blocks:
+the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto (FOCS 2008)
+in blocks of 2^12 lanes.  Lanes are one byte wide, except a graph's counts:
+2 bytes once its nullity |E| - r(E) passes 8, and 4 once it passes 16.  A
 table takes O(n 2^n) time and about 4 * 2^n bytes of peak memory;
 GroundSet keeps n at most 24.  The trivial matroids need no flags: U_{k,n},
 free (k = n) and rank 0 (k = 0), are the closed form r(S) = min(|S|, k).
@@ -35,7 +38,7 @@ circuits.
 import re
 from copy import copy
 from itertools import combinations
-from operator import or_
+from operator import add, or_
 
 from .errors import AxiomError, DomainError
 from .setcore import GroundSet, bit
@@ -52,7 +55,7 @@ class Matroid:
             raise AxiomError("a matroid needs at least one basis")
         n = ground.mask.bit_length()
         complements = lane_sweep(lane_blocks(_lanes_at(n, (((1 << n) - 1) ^ b for b in bases))), n, or_)
-        independent = lane_blocks(lane_table(complements, 1 << n)[::-1])
+        independent = [f * 255 for f in lane_blocks(lane_table(complements, 1 << n)[::-1])]
         self.ground, self.ranks = ground, _rank_table(n, independent)
         self._bases, self._circuits, self._dual = bases, None, None
         if validate:
@@ -79,10 +82,35 @@ class Matroid:
     @classmethod
     def _from_dependent(cls, ground: GroundSet, flags: bytes) -> "Matroid":
         """The matroid whose dependent sets are the upward closure of the sets
-        whose byte lanes in `flags` are 0xFF; not validated."""
+        whose byte lanes in `flags` are 1 (the others 0); not validated."""
         n = ground.mask.bit_length()
-        independent = [~f for f in lane_sweep(lane_blocks(flags), n, or_)]
+        independent = [~(f * 255) for f in lane_sweep(lane_blocks(flags), n, or_)]
         return cls._from_table(ground, _rank_table(n, independent))
+
+    @classmethod
+    def _from_zero_sums(cls, ground: GroundSet, flags: bytes, nullity: int) -> "Matroid":
+        """The binary matroid of nullity |E| - r(E) = `nullity` whose `flags`
+        are 1 at each nonempty set whose columns sum to zero over GF(2), and
+        0 elsewhere; not validated.  The zero-sum subsets of S, the empty set
+        included, are S's cycle space, of dimension |S| - r(S), so the
+        additive sweep counts 2^(|S| - r(S)) - 1 in lane S.  Its lanes are 1
+        byte while `nullity` is at most 8, 2 bytes to 16 and 4 beyond.  The
+        bytes of 2^k - 1 are 0xFF, then 2^(k mod 8) - 1, then 0, so their
+        logs sum to k.  The logs and the subtraction from |S| run block by
+        block, each wide block freed as its ranks replace it; block k's
+        sizes are the first block's plus the bit count of k."""
+        n = ground.mask.bit_length()
+        width = 1 if nullity <= 8 else 2 if nullity <= 16 else 4
+        counts = lane_sweep(lane_blocks(flags, width), n, add, width=width)
+        del flags
+        lanes = min(1 << n, _BLOCK)
+        sizes = int.from_bytes(subset_sizes(lanes), "little")
+        ones = int.from_bytes(b"\x01" * lanes, "little")
+        for k, f in enumerate(counts):
+            logs = f.to_bytes(width * lanes, "little").translate(_LOG2)
+            counts[k] = sizes + k.bit_count() * ones - sum(int.from_bytes(logs[j::width], "little")
+                                                            for j in range(width))
+        return cls._from_table(ground, lane_table(counts, 1 << n))
 
     @classmethod
     def _from_table(cls, ground: GroundSet, table: bytes) -> "Matroid":
@@ -220,12 +248,21 @@ class Matroid:
         return f"Matroid(rank {self.rank()} on {self.ground.fmt(self.ground.mask)}; bases {shown}{more})"
 
 
-_BLOCK = 1 << 12  # byte lanes per int in a lane sweep: 4 KB, which stays in cache
+_BLOCK = 1 << 12  # lanes per int in a lane sweep: 4 KB of byte lanes, which stays in cache
 
 
-def lane_blocks(table) -> list:
-    """The byte lanes of `table` as ints of at most _BLOCK lanes each."""
-    return [int.from_bytes(table[k:k + _BLOCK], "little") for k in range(0, len(table), _BLOCK)]
+def widen(table, width: int) -> bytes:
+    """The bytes of `table` as little-endian lanes of `width` bytes (1, 2 or
+    4): UTF-16-LE and UTF-32-LE write code point b as byte b and one or three
+    zero bytes."""
+    return table if width == 1 else table.decode("latin-1").encode(f"utf-{8 * width}-le")
+
+
+def lane_blocks(table, width: int = 1) -> list:
+    """The bytes of `table` as ints of at most _BLOCK lanes each, every lane
+    widened to `width` bytes one block at a time."""
+    return [int.from_bytes(widen(table[k:k + _BLOCK], width), "little")
+            for k in range(0, len(table), _BLOCK)]
 
 
 def lane_table(blocks: list, size: int) -> bytes:
@@ -233,19 +270,21 @@ def lane_table(blocks: list, size: int) -> bytes:
     return b"".join(f.to_bytes(min(size, _BLOCK), "little") for f in blocks)
 
 
-def lane_sweep(blocks: list, n: int, step, positions=None) -> list:
+def lane_sweep(blocks: list, n: int, step, positions=None, width: int = 1) -> list:
     """The butterfly of the subset zeta transform (Bjorklund-Husfeldt-Kaski-
-    Koivisto, FOCS 2008) on the 2^n byte lanes in `blocks`, in place: for each
-    element position i in `positions` (all n by default), each block f becomes
-    step(f, g), where g holds lane S - 2^i at each lane S with i and 0
-    elsewhere, so a step must keep f's lanes where g is 0.  The passes
-    commute, so below the block size all positions run on one block (a mask
-    and a shift each) before the next, while it is in cache; above it, f is a
-    whole block of sets with i and g the aligned block of their partners."""
+    Koivisto, FOCS 2008) on the 2^n lanes of `width` bytes in `blocks`, in
+    place: for each element position i in `positions` (all n by default),
+    each block f becomes step(f, g), where g holds lane S - 2^i at each lane S
+    with i and 0 elsewhere, so a step must keep f's lanes where g is 0.  The
+    passes commute, so below the block size all positions run on one block (a
+    mask and a shift each) before the next, while it is in cache; above it, f
+    is a whole block of sets with i and g the aligned block of their
+    partners."""
     block = min(1 << n, _BLOCK)
+    size = block * width  # bytes per block
     positions = range(n) if positions is None else positions
-    inner = [(int.from_bytes((b"\xff" * h + bytes(h)) * (block // (2 * h)), "little"), 8 * h)
-             for h in (1 << i for i in positions) if h < block]
+    inner = [(int.from_bytes((b"\xff" * h + bytes(h)) * (size // (2 * h)), "little"), 8 * h)
+             for h in (width << i for i in positions) if h < size]
     for k, f in enumerate(blocks):
         for w, s in inner:
             f = step(f, (f & w) << s)
@@ -259,35 +298,43 @@ def lane_sweep(blocks: list, n: int, step, positions=None) -> list:
 _HIGH = int.from_bytes(b"\x80" * _BLOCK, "little")
 
 
-def lane_max(f: int, g: int) -> int:
-    """The lane-wise maximum of two blocks whose lanes hold 0..127: lane S of
-    (f | 0x80 lanes) - g is 128 + f(S) - g(S) with no borrow between lanes,
-    and its bit 7 says whether f(S) >= g(S); spread to a 0xFF lane mask, it
-    picks the maximum.  _HIGH may be wider than the blocks: its extra lanes
-    pick 0 from both."""
-    ge = (((f | _HIGH) - g) & _HIGH) >> 7
-    return g ^ ((f ^ g) & ge * 255)
+def lane_max(n: int):
+    """The step of a max sweep over 2^n byte lanes: the lane-wise maximum of
+    two blocks whose lanes hold 0..127.  Lane S of (f | 0x80 lanes) - g is
+    128 + f(S) - g(S) with no borrow between lanes, and its bit 7 says
+    whether f(S) >= g(S); spread to a 0xFF lane mask, it picks the maximum.
+    _HIGH, shifted down to the lanes of one block, holds the 0x80 lanes, so
+    no int the step makes is wider than the block.  (Under a smaller _BLOCK,
+    as in tests, it keeps extra lanes, which pick 0 from both.)"""
+    high = _HIGH >> 8 * (_BLOCK - min(1 << n, _BLOCK))
+
+    def step(f: int, g: int) -> int:
+        ge = (((f | high) - g) & high) >> 7
+        return g ^ ((f ^ g) & ge * 255)
+    return step
 
 
 def _lanes_at(n: int, members) -> bytearray:
-    """2^n byte lanes, 0xFF at each of the masks `members`."""
+    """2^n byte lanes, 1 at each of the masks `members`."""
     lanes = bytearray(1 << n)
     for s in members:
-        lanes[s] = 0xFF
+        lanes[s] = 1
     return lanes
 
 
 def _rank_table(n: int, independent: list) -> bytes:
-    """Ranks of all 2^n masks from the independence flags (lane blocks), by
-    the max-plus zeta transform: f(S) = |S| on independent S and 0 elsewhere,
-    then for each element h, f(S) = max(f(S), f(S - h)) on every S containing
-    h, by lane_max on lanes that hold 0..24."""
+    """Ranks of all 2^n masks from the independence flags (lane blocks, 0xFF
+    on the independent sets), by the max-plus zeta transform: f(S) = |S| on
+    independent S and 0 elsewhere, then for each element h,
+    f(S) = max(f(S), f(S - h)) on every S containing h, by lane_max on lanes
+    that hold 0..24."""
     for k, s in enumerate(lane_blocks(subset_sizes(1 << n))):
         independent[k] &= s
-    return lane_table(lane_sweep(independent, n, lane_max), 1 << n)
+    return lane_table(lane_sweep(independent, n, lane_max(n)), 1 << n)
 
 
 _PLUS_ONE = bytes(range(1, 256)) + b"\x00"  # v -> v + 1 mod 256
+_LOG2 = bytes((v + 1).bit_length() - 1 for v in range(256))  # 2^k - 1 -> k
 
 
 def subset_sizes(size: int, mask: int = -1) -> bytes:

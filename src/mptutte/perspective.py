@@ -138,4 +138,4 @@ def _rank_steps_dominate(matroid: Matroid, quotient: Matroid) -> bool:
     n = len(matroid.ranks).bit_length() - 1
     lifted = matroid.ranks.translate(bytes(range(64, 256)) + bytes(64))  # v -> v + 64
     lanes = [m - q for m, q in zip(lane_blocks(lifted), lane_blocks(quotient.ranks))]
-    return lane_sweep(lanes.copy(), n, lane_max) == lanes
+    return lane_sweep(lanes.copy(), n, lane_max(n)) == lanes

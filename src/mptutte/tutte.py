@@ -30,7 +30,7 @@ from functools import cache
 from .activities import monomial_counts
 from .compatible import compatible_family
 from .errors import ConsistencyError
-from .matroid import Matroid, rank_zero_matroid, subset_sizes
+from .matroid import Matroid, rank_zero_matroid, subset_sizes, widen
 from .perspective import Perspective
 from .polynomial import Poly, X, Y, Z
 
@@ -76,9 +76,8 @@ def tutte_rank_generating(p: Perspective) -> Poly:
     del ones, lanes
     width = 1 if (full_q + 1) * span_j * span_d <= 256 else 2
 
-    def wide(table):  # UTF-16-LE writes code point b as bytes b, 0: a 16-bit lane per byte
-        return int.from_bytes(table.decode("latin-1").encode("utf-16-le") if width == 2 else table,
-                              "little")
+    def wide(table):
+        return int.from_bytes(widen(table, width), "little")
 
     # ((r(M') - r_{M'}(A)) * span_j + |A| - r_M(A)) * span_d + defect(A), one
     # table at a time: beside the sum, only one widened table and its multiple

@@ -6,6 +6,7 @@ import pytest
 from mptutte import (
     DomainError,
     GroundSet,
+    Matroid,
     Multigraph,
     Perspective,
     cycle_matroid,
@@ -13,7 +14,8 @@ from mptutte import (
     rank_zero_matroid,
     uniform_matroid,
 )
-from mptutte.graphic import components
+from mptutte import matroid as matroid_module
+from mptutte.graphic import _zero_sums, components
 from corpus import _graph_circuit_family, fixture_matroids, ladder, slot_canonical_graphs
 from oracle import check_perspective
 
@@ -173,6 +175,51 @@ def test_parallel_class_and_loops_only():
     assert cycle_matroid(parallel) == uniform_matroid(1, GroundSet(20))
     loops = Multigraph(vertices=("a", "b"), edges=tuple((l, "b", "b") for l in range(1, 11)))
     assert cycle_matroid(loops) == rank_zero_matroid(GroundSet(10))
+
+
+def multigraph(*bundles):
+    """Edges labelled 1, 2, ... in order, `count` of them between u and v for
+    each (count, u, v) bundle, u = v for loops."""
+    ends = [(u, v) for count, u, v in bundles for _ in range(count)]
+    vertices = tuple(dict.fromkeys(x for e in ends for x in e))
+    return Multigraph(vertices=vertices, edges=tuple((l, u, v) for l, (u, v) in enumerate(ends, 1)))
+
+
+# (nullity, lane width in bytes, graph): the additive sweep counts up to
+# 2^nullity - 1 in each lane.  The disconnected graphs have one more nullity
+# than the connected bound m - |V| + 1 says, so a width taken from that
+# bound would be one byte plane short at 9 and at 17.
+LANE_WIDTH_CASES = [
+    (8, 1, multigraph((3, "a", "b"), (3, "b", "c"), (3, "c", "a"), (1, "a", "a"))),
+    (9, 2, multigraph((10, "a", "b"), (1, "c", "d"))),
+    (16, 2, multigraph((17, "a", "b"), (1, "c", "d"))),
+    (17, 4, multigraph((18, "a", "b"), (1, "c", "d"))),
+]
+
+
+@pytest.mark.parametrize("nullity, width, g", LANE_WIDTH_CASES, ids=[str(c[0]) for c in LANE_WIDTH_CASES])
+def test_counted_ranks_at_the_lane_width_boundaries(monkeypatch, nullity, width, g):
+    assert len(g.edges) - len(g.vertices) + component_count(g) == nullity
+    widths, sweep = [], matroid_module.lane_sweep
+
+    def spy(*args, **kwargs):
+        widths.append(kwargs.get("width", 1))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(matroid_module, "lane_sweep", spy)
+    m = cycle_matroid(g)
+    assert widths == [width]
+    assert m.ranks == Matroid._from_dependent(m.ground, _zero_sums(g)).ranks
+    # r(S) = |V| - #components of (V, S), where S's components depend only on
+    # which of the few distinct vertex pairs S touches
+    pairs = sorted({(u, v) for _, u, v in g.edges})
+    touched = [0]
+    for _, u, v in sorted(g.edges):
+        touched += [t | 1 << pairs.index((u, v)) for t in touched]
+    rank = {t: len(g.vertices) - component_count(Multigraph(g.vertices, [
+        (l, u, v) for l, (u, v) in enumerate((p for i, p in enumerate(pairs) if t >> i & 1), 1)]))
+        for t in set(touched)}
+    assert m.ranks == bytes(rank[t] for t in touched)
 
 
 def test_rank_is_vertices_minus_components():

@@ -1,23 +1,25 @@
 """Lane sweeps across block boundaries.
 
-Every whole-table pass (closures, the rank transform, the circuit pass, the
-loops of a gapped ground set, the perspective check) runs through
-matroid.lane_sweep on ints of matroid._BLOCK byte lanes.  The corpus tables
-have at most 32 lanes, one block at the default size; with 4-lane blocks
-every element above the second pairs whole blocks.  Both sizes must give the
-same tables, circuits, minors, duals and perspective verdicts, the verdicts
+Every whole-table pass (closures, the rank transform, a graph's counting
+sweep, the circuit pass, the loops of a gapped ground set, the perspective
+check) runs through matroid.lane_sweep on ints of matroid._BLOCK lanes.  The
+corpus tables have at most 32 lanes, one block at the default size; with
+4-lane blocks every element above the second pairs whole blocks, in the
+2-byte counting lanes of two graphs too.  Both sizes must give the same
+tables, circuits, minors, duals and perspective verdicts, the verdicts
 on gapped minors of the corpus perspectives (forward and reversed) included;
 at the default size those verdicts must also be the oracle's.  One default
 size case at n = 16 (16 blocks) is checked against the oracle's scans.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
 import oracle
 from corpus import corpus_matroids, ladder, slot_canonical_graphs
-from mptutte import Matroid, Perspective, PerspectiveError, bit, cycle_matroid, identify_vertices
+from mptutte import Matroid, Multigraph, Perspective, PerspectiveError, bit, cycle_matroid, identify_vertices
 from mptutte import matroid as matroid_module
 
 
@@ -81,6 +83,11 @@ def test_four_lane_blocks_build_what_one_block_builds(corpus, monkeypatch):
     matroids = [m for _, m in corpus_matroids(corpus)]
     graphs = [g for k in range(2, 6) for g in slot_canonical_graphs(k).values()]
     graphs += [ladder(12), identify_v0_v3(ladder(12))]
+    # nullity 9, so the counting sweep runs on 2-byte lanes: K4 with every
+    # edge doubled, and ten parallel edges beside a separate edge
+    doubled = list(combinations("abcd", 2)) * 2
+    graphs += [Multigraph("abcd", [(l, u, v) for l, (u, v) in enumerate(doubled, 1)]),
+               Multigraph("abcd", [(l, "a", "b") for l in range(1, 11)] + [(11, "c", "d")])]
     # pairs on one ground set: mostly not perspectives, so the rejecting
     # pairs' messages are compared too; each pair's quotient has rank > 0
     # and a table of its own, so the lane check runs

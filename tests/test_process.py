@@ -14,8 +14,8 @@ import pytest
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
-SUMS = {name: digest for digest, name in
-        map(str.split, (DATA / "wheel8_rank0.sha256").read_text().splitlines())}
+SUMS = {(path.stem, name): digest for path in DATA.glob("*.sha256")
+        for digest, name in map(str.split, path.read_text().splitlines())}
 # unset in every run, so that no row depends on the caller's shell: under
 # PYTHONUNBUFFERED, a write cut short by the reader leaving raises nothing
 IO_SETTINGS = ("PYTHONUNBUFFERED", "PYTHONIOENCODING", "PYTHONUTF8")
@@ -54,7 +54,7 @@ def run(argv, stdin=b"", env=None, head=None):
 # wants every pattern found: argparse's text differs between Python versions.
 def exact(data): return lambda got: (got, data)
 def golden(name): return exact((DATA / name).read_bytes())
-def sha256(name): return lambda got: (hashlib.sha256(got).hexdigest(), SUMS[name])
+def sha256(doc, name): return lambda got: (hashlib.sha256(got).hexdigest(), SUMS[doc, name])
 def last_line(line): return lambda got: (got.splitlines()[-1:], [line.encode()])
 def search(*patterns): return lambda got: ([p for p in patterns if not re.search(p, got.decode(), re.M)], [])
 def same_as(*argv): return lambda got: (got, run(argv)[1])
@@ -101,7 +101,12 @@ ROWS = [
       for c in ("tutte", "table", "compatible", "check")),
     row("reader-gone-W8-table", ["table", *doc("wheel8_rank0")], 0,
         exact(b"B\tInt\tExt\tX\tTerm\n"), head=1),
-    *(row(f"W8-{c}", [c, *doc("wheel8_rank0")], 0, sha256(f"{c}.txt")) for c in ("table", "check")),
+    *(row(f"W8-{c}", [c, *doc("wheel8_rank0")], 0, sha256("wheel8_rank0", f"{c}.txt"))
+      for c in ("table", "check")),
+    # 2-byte counting lanes for both graphs (nullity 9, and 10 for G/~)
+    *(row(f"ladder20-{m}", ["tutte", "--method", m, *doc("ladder20")], 0, sha256("ladder20", "tutte.txt"))
+      for m in ("activities", "compatible", "rank-gen")),
+    row("ladder20-table", ["table", *doc("ladder20")], 0, sha256("ladder20", "table.txt")),
     *(row(f"accented-{how}-{loc}", ["table", *argv], 0, golden("accented_labels_table.tsv"),
           stdin=stdin, env=env)
       for loc, env in ASCII_LOCALES.items() for how, (argv, stdin) in sources("accented_labels")),
