@@ -14,8 +14,8 @@ never a new name that another vertex might already hold.
 import functools
 from collections import namedtuple
 
+from . import matroid
 from .errors import DomainError
-from .matroid import Matroid
 from .setcore import GroundSet
 
 
@@ -64,22 +64,21 @@ def components(vertices, pairs) -> tuple:
     return tuple(map(tuple, classes.values()))
 
 
-def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> Matroid:
+def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> matroid.Matroid:
     """Matroid on the edge labels whose independent sets are the forests of g.
 
     An edge set is dependent iff it holds a nonempty subset whose incidence
     columns sum to zero over GF(2), an edge-disjoint union of circuits
-    (Veblen); a loop's column is zero.  Those subsets are counted, in lanes
-    as wide as g's nullity m - |V| + #components needs.  Nothing is
-    re-validated.
+    (Veblen); a loop's column is zero.  Those subsets are counted, and
+    their flags are the only input: there are 2^null(E) - 1 of them, which
+    sets the lane width.  Nothing is re-validated.
     """
     m = len(g.edges)
     if ground is None:
         ground = GroundSet(m)
     elif ground.mask != (1 << m) - 1:
         raise DomainError(f"ground set labels {sorted(ground.order)} are not the edge labels 1..{m}")
-    nullity = m - len(g.vertices) + len(components(g.vertices, ((u, v) for _, u, v in g.edges)))
-    return Matroid._from_zero_sums(ground, _zero_sums(g), nullity)
+    return matroid.Matroid._from_zero_sums(ground, _zero_sums(g))
 
 
 def _zero_sums(g: Multigraph) -> bytearray:
@@ -87,19 +86,23 @@ def _zero_sums(g: Multigraph) -> bytearray:
     zero over GF(2) and 0 elsewhere, 8 vertex rows (one byte plane) at a
     time, each plane by doubling: sums[S + e] = sums[S] ^ column(e).  The
     first vertex's row is left out: every column has two ones or none, so it
-    sums the others."""
+    sums the others.  The first plane's sums become the flags in place, and
+    each later plane is ANDed into them, one block of matroid._BLOCK lanes
+    at a time, so no more than the flags and one plane's sums (half of it
+    twice while it doubles) are held at once."""
     row = {v: 1 << k for k, v in enumerate(g.vertices[1:])}
     columns = [row.get(u, 0) ^ row.get(v, 0) for _, u, v in sorted(g.edges)]  # by label
-    zero = bytearray(b"\x01") * (1 << len(columns))
-    for plane in range(0, len(row), 8):
+    size = min(1 << len(columns), matroid._BLOCK)
+    for plane in range(0, len(row) or 1, 8):  # a lone vertex has no row, but one plane
         sums = bytearray(1)
         for c in columns:
             sums += sums.translate(_xor_table((c >> plane) & 0xFF))
-        sums = sums.translate(b"\x01" + bytes(255))  # 1 where this plane sums to zero
-        if plane:  # and where the planes before it do too
-            sums = bytearray((int.from_bytes(zero, "little") & int.from_bytes(sums, "little"))
-                             .to_bytes(len(sums), "little"))
-        zero = sums
+        zero = zero if plane else sums  # the first plane's sums turn into the flags
+        for k in range(0, len(sums), size):
+            block = slice(k, k + size)
+            flags = sums[block].translate(b"\x01" + bytes(255))  # 1 where this plane sums to zero
+            zero[block] = flags if not plane else (  # and where the planes before it do too
+                int.from_bytes(zero[block], "little") & int.from_bytes(flags, "little")).to_bytes(size, "little")
     zero[0] = 0  # the empty set
     return zero
 

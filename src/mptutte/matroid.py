@@ -21,10 +21,12 @@ dimension |S| - r(S), so one additive zeta transform of their flags holds
 whole-table pass is one lane_sweep, upward only, with a step of two blocks:
 the subset zeta transform of Bjorklund-Husfeldt-Kaski-Koivisto (FOCS 2008)
 in blocks of 2^12 lanes.  Lanes are one byte wide, except a graph's counts:
-2 bytes once its nullity |E| - r(E) passes 8, and 4 once it passes 16.  A
-table takes O(n 2^n) time and about 4 * 2^n bytes of peak memory;
-GroundSet keeps n at most 24.  The trivial matroids need no flags: U_{k,n},
-free (k = n) and rank 0 (k = 0), are the closed form r(S) = min(|S|, k).
+2 bytes once its nullity |E| - r(E) passes 8, and 4 once it passes 16,
+read off the number of its flags, 2^(|E| - r(E)) - 1.  A table takes
+O(n 2^n) time and about 4 * 2^n bytes of peak memory, a graph's about
+3 * 2^n; GroundSet keeps n at most 24.  The trivial matroids need no
+flags: U_{k,n}, free (k = n) and rank 0 (k = 0), are the closed form
+r(S) = min(|S|, k).
 
 Bases are then checked for basis exchange, O(|bases|^2 * n), and circuits
 for the circuit axioms, each looking its sets up in the table: a k-set is a
@@ -88,19 +90,20 @@ class Matroid:
         return cls._from_table(ground, _rank_table(n, independent))
 
     @classmethod
-    def _from_zero_sums(cls, ground: GroundSet, flags: bytes, nullity: int) -> "Matroid":
-        """The binary matroid of nullity |E| - r(E) = `nullity` whose `flags`
-        are 1 at each nonempty set whose columns sum to zero over GF(2), and
-        0 elsewhere; not validated.  The zero-sum subsets of S, the empty set
-        included, are S's cycle space, of dimension |S| - r(S), so the
-        additive sweep counts 2^(|S| - r(S)) - 1 in lane S.  Its lanes are 1
-        byte while `nullity` is at most 8, 2 bytes to 16 and 4 beyond.  The
+    def _from_zero_sums(cls, ground: GroundSet, flags: bytes) -> "Matroid":
+        """The binary matroid whose `flags` are 1 at each nonempty set whose
+        columns sum to zero over GF(2), and 0 elsewhere; not validated.  The
+        zero-sum subsets of S, the empty set included, are S's cycle space,
+        of dimension |S| - r(S), so the additive sweep counts
+        2^(|S| - r(S)) - 1 in lane S.  The flags hold 2^null(E) - 1 ones, so
+        their count's bit length is the nullity |E| - r(E), and the lanes are
+        1 byte while it is at most 8, 2 bytes to 16 and 4 beyond.  The
         bytes of 2^k - 1 are 0xFF, then 2^(k mod 8) - 1, then 0, so their
         logs sum to k.  The logs and the subtraction from |S| run block by
         block, each wide block freed as its ranks replace it; block k's
         sizes are the first block's plus the bit count of k."""
         n = ground.mask.bit_length()
-        width = 1 if nullity <= 8 else 2 if nullity <= 16 else 4
+        width = (1, 1, 2, 4)[(flags.count(1).bit_length() + 7) // 8]  # null(E)'s bytes, rounded up
         counts = lane_sweep(lane_blocks(flags, width), n, add, width=width)
         del flags
         lanes = min(1 << n, _BLOCK)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -188,16 +189,20 @@ def multigraph(*bundles):
 # (nullity, lane width in bytes, graph): the additive sweep counts up to
 # 2^nullity - 1 in each lane.  The disconnected graphs have one more nullity
 # than the connected bound m - |V| + 1 says, so a width taken from that
-# bound would be one byte plane short at 9 and at 17.
+# bound would be one byte plane short at 9 and at 17.  A lone vertex with
+# only loops has no vertex row at all: its width comes from the flags alone.
 LANE_WIDTH_CASES = [
     (8, 1, multigraph((3, "a", "b"), (3, "b", "c"), (3, "c", "a"), (1, "a", "a"))),
     (9, 2, multigraph((10, "a", "b"), (1, "c", "d"))),
     (16, 2, multigraph((17, "a", "b"), (1, "c", "d"))),
     (17, 4, multigraph((18, "a", "b"), (1, "c", "d"))),
+    (9, 2, multigraph((9, "a", "a"))),
+    (17, 4, multigraph((17, "a", "a"))),
 ]
 
 
-@pytest.mark.parametrize("nullity, width, g", LANE_WIDTH_CASES, ids=[str(c[0]) for c in LANE_WIDTH_CASES])
+@pytest.mark.parametrize("nullity, width, g", LANE_WIDTH_CASES,
+                         ids=[f"{n}-loops" if len(g.vertices) == 1 else str(n) for n, _, g in LANE_WIDTH_CASES])
 def test_counted_ranks_at_the_lane_width_boundaries(monkeypatch, nullity, width, g):
     assert len(g.edges) - len(g.vertices) + component_count(g) == nullity
     widths, sweep = [], matroid_module.lane_sweep
@@ -220,6 +225,24 @@ def test_counted_ranks_at_the_lane_width_boundaries(monkeypatch, nullity, width,
         (l, u, v) for l, (u, v) in enumerate((p for i, p in enumerate(pairs) if t >> i & 1), 1)]))
         for t in set(touched)}
     assert m.ranks == bytes(rank[t] for t in touched)
+
+
+def test_two_plane_sums_peak_and_block_size(monkeypatch):
+    # ladder-18 has 11 vertices, so its 10 vertex rows take two byte planes;
+    # the second is ANDed into the first plane's flags in place, so the build
+    # holds no more than the flags and one plane's sums at once
+    g = ladder(18)
+    tracemalloc.start()
+    try:
+        flags = _zero_sums(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2 ** 18, peak / 2 ** 18
+    assert flags.count(1) == 2 ** (18 - 10) - 1 and flags[0] == 0
+    for block in (4, 1 << 20):  # many blocks, and one block larger than the table
+        monkeypatch.setattr(matroid_module, "_BLOCK", block)
+        assert _zero_sums(g) == flags
 
 
 def test_rank_is_vertices_minus_components():

@@ -107,6 +107,10 @@ ROWS = [
     *(row(f"ladder20-{m}", ["tutte", "--method", m, *doc("ladder20")], 0, sha256("ladder20", "tutte.txt"))
       for m in ("activities", "compatible", "rank-gen")),
     row("ladder20-table", ["table", *doc("ladder20")], 0, sha256("ladder20", "table.txt")),
+    # three byte planes of vertex rows for both graphs (19 rows, and 18 for G/~)
+    *(row(f"cycle20-{m}", ["tutte", "--method", m, *doc("cycle20")], 0, sha256("cycle20", "tutte.txt"))
+      for m in ("activities", "compatible", "rank-gen")),
+    row("cycle20-table", ["table", *doc("cycle20")], 0, sha256("cycle20", "table.txt")),
     *(row(f"accented-{how}-{loc}", ["table", *argv], 0, golden("accented_labels_table.tsv"),
           stdin=stdin, env=env)
       for loc, env in ASCII_LOCALES.items() for how, (argv, stdin) in sources("accented_labels")),
