@@ -8,7 +8,10 @@ quotient:
     backward(X) = X \\ min_basis((M|X)*) ∪ min_basis(M'/X)
 
 Both minimal bases are found greedily with rank lookups in M and M'; no
-minor is built.
+minor is built.  backward first proves X in D, then runs _inverse, the one
+implementation of that greedy pass.  `check`'s round trips take membership
+in D from their compatible pass and call _inverse directly; backward's own
+membership check runs there only to name a failing row.
 
 bijection_table lays out one row per valid B, ordered by size then
 lexicographically, with the monomial exponents
@@ -41,15 +44,26 @@ def forward(p: Perspective, b: int) -> int:
 
 
 def backward(p: Perspective, x: int) -> int:
-    """B = X \\ min_basis((M|X)*) ∪ min_basis(M'/X).
+    """B = X \\ min_basis((M|X)*) ∪ min_basis(M'/X), for X in D.
+
+    X is checked to be a subset of E and a member of D (DomainError
+    otherwise), then inverted by _inverse.  `check` takes membership from
+    its compatible pass and calls _inverse itself; it calls backward only
+    to name a failing row.
+    """
+    p.ground.check_subset(x)
+    if not in_family(p, x):
+        raise DomainError(f"{p.ground.fmt(x)} is not in the compatible family")
+    return _inverse(p, x)
+
+
+def _inverse(p: Perspective, x: int) -> int:
+    """backward without the membership check: X is taken to be in D.
 
     Scanning E in `<` order, e in X joins the dual basis while X minus the
     dual basis still spans X in M, and e outside X joins the basis of M'/X
     while it raises the M'-rank of X plus what was kept.
     """
-    p.ground.check_subset(x)
-    if not in_family(p, x):
-        raise DomainError(f"{p.ground.fmt(x)} is not in the compatible family")
     rm, rq = p.matroid.ranks, p.quotient.ranks
     target = rm[x]
     rest = x

@@ -84,23 +84,30 @@ def cycle_matroid(g: Multigraph, ground: GroundSet | None = None) -> matroid.Mat
 def _zero_sums(g: Multigraph) -> bytearray:
     """Byte lanes, 1 at each nonempty edge set whose incidence columns sum to
     zero over GF(2) and 0 elsewhere, 8 vertex rows (one byte plane) at a
-    time, each plane by doubling: sums[S + e] = sums[S] ^ column(e).  The
-    first vertex's row is left out: every column has two ones or none, so it
-    sums the others.  The first plane's sums become the flags in place, and
-    each later plane is ANDed into them, one block of matroid._BLOCK lanes
-    at a time, so no more than the flags and one plane's sums (half of it
-    twice while it doubles) are held at once."""
+    time.  The first vertex's row is left out: every column has two ones or
+    none, so it sums the others.  In each plane the sums of the low edges,
+    those that number a lane inside one block of matroid._BLOCK lanes, are
+    built by doubling: sums[S + e] = sums[S] ^ column(e).  Block k's sums
+    are those XORed with h, the sum of the high edges that number k, so
+    the block sums to zero where the low sums equal h: one translate flags
+    it, and later planes AND their flags in.  Only the flags and one
+    block's sums are held at once."""
     row = {v: 1 << k for k, v in enumerate(g.vertices[1:])}
     columns = [row.get(u, 0) ^ row.get(v, 0) for _, u, v in sorted(g.edges)]  # by label
-    size = min(1 << len(columns), matroid._BLOCK)
+    low = min(len(columns), matroid._BLOCK.bit_length() - 1)
+    size = 1 << low
+    zero = bytearray(1 << len(columns))
     for plane in range(0, len(row) or 1, 8):  # a lone vertex has no row, but one plane
         sums = bytearray(1)
-        for c in columns:
+        for c in columns[:low]:
             sums += sums.translate(_xor_table((c >> plane) & 0xFF))
-        zero = zero if plane else sums  # the first plane's sums turn into the flags
-        for k in range(0, len(sums), size):
-            block = slice(k, k + size)
-            flags = sums[block].translate(b"\x01" + bytes(255))  # 1 where this plane sums to zero
+        high = [0]
+        for c in columns[low:]:
+            c = (c >> plane) & 0xFF
+            high += [h ^ c for h in high]
+        for k, h in enumerate(high):
+            block = slice(k * size, (k + 1) * size)
+            flags = sums.translate(bytes(h) + b"\x01" + bytes(255 - h))  # 1 where this plane sums to zero
             zero[block] = flags if not plane else (  # and where the planes before it do too
                 int.from_bytes(zero[block], "little") & int.from_bytes(flags, "little")).to_bytes(size, "little")
     zero[0] = 0  # the empty set

@@ -14,7 +14,9 @@ so the scans that built the table and the families before it are kept
 here too (greedy_ranks, circuits_from_bases, graph_bases, and the minor
 and dual tables built from independence flags): test_construction checks
 the tables, the bases and the circuits against them, and the oracle's
-other scans then share no code with the lookups they check.
+other scans then share no code with the lookups they check.  backward is
+the bijection's inverse built from those flag tables, with each minimal
+basis found by brute force instead of bijection's greedy rank lookups.
 """
 
 from array import array
@@ -190,10 +192,42 @@ def contracted_ranks(m: Matroid, x: int) -> bytes:
     return greedy_ranks(n, flags & independent_flags(n, [keep]))
 
 
-def dual_ranks(m: Matroid) -> bytes:
-    """The rank table of M*, whose bases are the complements of M's."""
-    n = m.ground.mask.bit_length()
-    return greedy_ranks(n, independent_flags(n, [m.ground.mask ^ b for b in m.bases]))
+def dual_ranks(m: Matroid, x: int | None = None) -> bytes:
+    """The rank table of M*, whose bases are the complements of M's; or,
+    given X, of (M|X)*, whose bases are the complements in X of the bases of
+    M|X, the subsets S of X with |S| = r(S) = r(X) in restricted_ranks."""
+    if x is None:
+        x, bases = m.ground.mask, m.bases
+    else:
+        r = restricted_ranks(m, x)
+        bases = [s for s in submasks(x) if s.bit_count() == r[s] == r[x]]
+    n = x.bit_length()
+    return greedy_ranks(n, independent_flags(n, [x ^ b for b in bases]))
+
+
+def submasks(x: int) -> list:
+    """Every subset of X, largest mask first."""
+    out = [x]
+    while out[-1]:
+        out.append((out[-1] - 1) & x)
+    return out
+
+
+def min_basis(ranks: bytes, x: int, order) -> int:
+    """The lexicographically least basis of the matroid on X with rank table
+    `ranks`: of every S inside X with |S| = r(S) = r(X), the one whose
+    elements, listed in `<` order, come first."""
+    bases = [s for s in submasks(x) if s.bit_count() == ranks[s] == ranks[x]]
+    return min(bases, key=lambda s: [i for i, e in enumerate(order) if s >> (e - 1) & 1])
+
+
+def backward(p, x: int) -> int:
+    """g(X) = X \\ min_basis((M|X)*) ∪ min_basis(M'/X), each minor's table
+    built by the flag scans above and each minimal basis by brute force."""
+    order = p.ground.order
+    rest = p.ground.mask ^ x
+    return x & ~min_basis(dual_ranks(p.matroid, x), x, order) | min_basis(
+        contracted_ranks(p.quotient, x), rest, order)
 
 
 def circuits_from_bases(ground, bases) -> tuple:

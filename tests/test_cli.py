@@ -286,10 +286,34 @@ def _check_fails(tmp_path, capsys, text=FIXTURE):
 
 
 def test_check_fails_when_backward_misses_the_row(tmp_path, capsys, monkeypatch):
-    # the first row, B = {2,4}, has X = {}; a backward returning X itself
+    # the first row, B = {2,4}, has X = {}; an inverse returning X itself
     # gives {} back, not {2,4}
-    monkeypatch.setattr(cli, "backward", lambda p, x: x)
+    monkeypatch.setattr(cli, "_inverse", lambda p, x: x)
     assert ROUND_TRIPS + "g(f(B)) != B at B = {2,4}" in _check_fails(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row, image, family_edit, line", [
+    # row {2,5} given the image {3} of row {3,4}: {3} is in D, so the checked
+    # backward refuses no row and the mismatch itself is the failure
+    (1, 0b100, lambda d: d, "g(f(B)) != B at B = {2,5}"),
+    # given the non-member {2}, listed in D, it mismatches too, but the
+    # checked backward refuses {2} at that row first
+    (1, 0b10, lambda d: d + [0b10], "{2} is not in the compatible family"),
+    # the first row given {2}, which inverts to its own B, and {5} left out
+    # of D: the image missing from D is found first, at the second row, but
+    # the checked backward refuses {2} at the row before it
+    (0, 0b10, lambda d: [x for x in d if x != 0b10000] + [0b10], "{2} is not in the compatible family"),
+], ids=["another-rows-image", "non-member-mismatch", "non-member-before-a-missing-image"])
+def test_check_names_the_first_failing_row_without_a_patched_inverse(
+        tmp_path, capsys, monkeypatch, row, image, family_edit, line):
+    real = cli.compatible_family
+    monkeypatch.setattr(cli, "compatible_family", lambda p: family_edit(real(p)))
+    _patched_rows(monkeypatch, lambda rows: rows.__setitem__(row, rows[row]._replace(x=image)))
+    lines = _check_fails(tmp_path, capsys)
+    assert ROUND_TRIPS + line in lines
+    # the other checks still run and report
+    for name in ("interval partition", "polynomial agreement", "order invariance"):
+        assert any(l.startswith("ok   " + name) for l in lines), name
 
 
 def test_check_fails_when_an_image_is_missing_from_d(tmp_path, capsys, monkeypatch):
@@ -571,7 +595,7 @@ def _closed_pipe() -> int:
 
 
 def test_closed_stdout_keeps_a_failing_checks_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "backward", lambda p, x: x)
+    monkeypatch.setattr(cli, "_inverse", lambda p, x: x)
     with open(_closed_pipe(), "w") as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["check", "--input", str(DATA / "two_triangles.txt")]) == 3

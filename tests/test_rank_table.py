@@ -28,6 +28,7 @@ from mptutte import (
     is_compatible,
     uniform_matroid,
 )
+from mptutte.bijection import _inverse
 from corpus import all_matroids_up_to, ladder, random_circuit_matroids
 
 
@@ -84,6 +85,19 @@ def test_compatibility_matches_oracle_on_corpus(corpus):
         for x in expected:
             via_minors = (x & ~m.restrict(x).dual().min_basis()) | q.contract(x).min_basis()
             assert backward(p, x) == via_minors, (name, x)
+
+
+def test_inverse_matches_oracle_on_corpus_slice(corpus):
+    # the unchecked inverse that check's round trips call, and the public
+    # backward around it, against the inverse built from flag tables and brute force
+    checked = 0
+    for name, p in corpus[::3]:
+        for x in compatible_family(p):
+            expected = oracle.backward(p, x)
+            assert _inverse(p, x) == expected, (name, x)
+            assert backward(p, x) == expected, (name, x)
+            checked += 1
+    assert checked == 3561, checked
 
 
 @pytest.mark.parametrize("which", ["uniform-4-12", "ladder-12", "ladder-12-identified",
