@@ -30,13 +30,16 @@ by Y in M is spanned by Y + below(e) in M', so some step is always open and
 every prefix kept ends in a valid set: the pass does O(n) lookups per valid
 set instead of testing all 2^n subsets.
 
-A prefix's state is one int.  With n the bit length of the ground mask, it
-holds B in bits 0..n-1, Int(B) from bit n, Ext(B) from bit 2n, and from bit
-3n the counts |Int| + 32|Ext| + 1024|B|.  A count is at most MAX_ELEMENTS =
-24, so a 5-bit field holds it without carrying into the next.  Each branch
-of a level adds one constant to the state.  Only this module reads the
-layout: valid_sets gives the bare B's, monomial_counts counts the top field
-alone and decodes each distinct value once, and unpacked gives every field.
+The pass files the prefixes by their activities so far: a class maps one
+key to the list of its prefixes, plain masks of B.  An externally active e
+adds e to the key's Ext, an internally active e to the key's Int and to
+each B, and an open step keeps the key and lists both B and B + e, so a
+class has at most three successors per level.  The key is Int | Ext << n
+(n the ground mask's bit length) when the caller needs the masks, and
+|Int| + 32|Ext| when it needs only the counts: a count is at most
+MAX_ELEMENTS = 24, so the 5-bit field holds |Int|.  Every B of one class
+shares its Int, Ext and so its monomial but for the power of z, which
+|B| gives.
 """
 
 from collections import Counter
@@ -65,67 +68,65 @@ def activities(quotient: Matroid, matroid: Matroid, x: int) -> tuple:
     return internal, external
 
 
-def valid_sets_with_activities(quotient: Matroid, matroid: Matroid) -> list:
-    """One packed int per B independent in `matroid` and spanning in
-    `quotient`, in no particular order: with n the ground mask's bit length,
-    B | Int_{quotient}(B) << n | Ext_{matroid}(B) << 2n | counts << 3n, where
-    counts = |Int| + 32|Ext| + 1024|B|."""
+def activity_classes(quotient: Matroid, matroid: Matroid, masks: bool) -> dict:
+    """Every B independent in `matroid` and spanning in `quotient`, filed by
+    its activities: key -> list of B, the key Int_{quotient}(B) |
+    Ext_{matroid}(B) << n if `masks`, else |Int| + 32|Ext|."""
     ground = matroid.ground
     rq, rm = quotient.ranks, matroid.ranks
     full = rq[ground.mask]
-    low, n = ground.mask, ground.mask.bit_length()
+    n = ground.mask.bit_length()
     below = ground.mask
-    states = [0]
+    classes = {0: [0]}
     for e in reversed(ground.order):
         b = 1 << (e - 1)
         below ^= b
-        # what each branch adds: e externally active, e internally active
-        # (it joins B), or e joining B by choice
-        external = (b << 2 * n) + (32 << 3 * n)
-        internal = b + (b << n) + (1025 << 3 * n)
-        joined = b + (1024 << 3 * n)
-        grown = []
-        for s in states:
-            y = s & low
-            if rm[y | b] == rm[y]:
-                grown.append(s + external)
-            elif rq[y | below] < full:
-                grown.append(s + internal)
-            else:
-                grown.append(s)
-                grown.append(s + joined)
-        states = grown
-    return states
-
-
-def exponents(counts: int, rank: int) -> tuple:
-    """(|Int|, |Ext|, rank - |B|) from a state's counts field."""
-    return counts & 31, counts >> 5 & 31, rank - (counts >> 10)
+        # what e adds to the key when it is externally or internally active
+        external, internal = (b << n, b) if masks else (32, 1)
+        grown = {}
+        for key, bs in classes.items():
+            out, joined, either = [], [], []
+            for y in bs:
+                if rm[y | b] == rm[y]:
+                    out.append(y)
+                elif rq[y | below] < full:
+                    joined.append(y | b)
+                else:
+                    either.append(y)
+                    either.append(y | b)
+            # unrolled: a loop over the three (key, list) pairs costs a tuple per class
+            if out:
+                k = key + external
+                if k in grown:
+                    grown[k] += out
+                else:
+                    grown[k] = out
+            if joined:
+                k = key + internal
+                if k in grown:
+                    grown[k] += joined
+                else:
+                    grown[k] = joined
+            if either:
+                if key in grown:
+                    grown[key] += either
+                else:
+                    grown[key] = either
+        classes = grown
+    return classes
 
 
 def valid_sets(quotient: Matroid, matroid: Matroid) -> list:
     """Every B independent in `matroid` and spanning in `quotient`, unordered."""
-    low = matroid.ground.mask
-    return [s & low for s in valid_sets_with_activities(quotient, matroid)]
+    return [b for bs in activity_classes(quotient, matroid, False).values() for b in bs]
 
 
 def monomial_counts(quotient: Matroid, matroid: Matroid) -> list:
     """((|Int|, |Ext|, r(matroid) - |B|), number of valid B with it) pairs."""
-    shift, rank = 3 * matroid.ground.mask.bit_length(), matroid.rank()
-    counts = Counter(s >> shift for s in valid_sets_with_activities(quotient, matroid))
-    return [(exponents(k, rank), c) for k, c in counts.items()]
-
-
-def unpacked(quotient: Matroid, matroid: Matroid):
-    """(B, Int(B), Ext(B), (|Int|, |Ext|, r(matroid) - |B|)) for every valid
-    B, in no particular order."""
-    low, n, rank = matroid.ground.mask, matroid.ground.mask.bit_length(), matroid.rank()
-    monomials = {}  # counts field -> triple, shared by the rows that have it
-    for s in valid_sets_with_activities(quotient, matroid):
-        k = s >> 3 * n
-        if k not in monomials:
-            monomials[k] = exponents(k, rank)
-        yield s & low, s >> n & low, s >> 2 * n & low, monomials[k]
+    rank = matroid.rank()
+    return [((key & 31, key >> 5, rank - size), count)
+            for key, bs in activity_classes(quotient, matroid, False).items()
+            for size, count in Counter(map(int.bit_count, bs)).items()]
 
 
 def externally_active(m: Matroid, x: int) -> int:

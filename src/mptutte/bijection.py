@@ -15,15 +15,17 @@ membership check runs there only to name a failing row.
 
 bijection_table lays out one row per valid B, ordered by size then
 lexicographically, with the monomial exponents
-(|Int|, |Ext|, rank defect) that drive the trivariate polynomial.  A row is
-a BijectionRow, a collections.namedtuple (b, internal, external, x,
-monomial) of masks and that triple: immutable and hashable, and built as
-cheaply as a tuple.
+(|Int|, |Ext|, rank defect) that drive the trivariate polynomial.  It reads
+the valid sets from activities' top-down pass already filed by (Int, Ext),
+so each row takes its masks from its class and its triple from its class
+and size.  A row is a BijectionRow, a collections.namedtuple (b, internal,
+external, x, monomial) of masks and that triple: immutable and hashable,
+and built as cheaply as a tuple.
 """
 
 from collections import namedtuple
 
-from .activities import activities, unpacked
+from .activities import activities, activity_classes
 from .compatible import in_family
 from .errors import DomainError
 from .perspective import Perspective
@@ -62,26 +64,38 @@ def _inverse(p: Perspective, x: int) -> int:
 
     Scanning E in `<` order, e in X joins the dual basis while X minus the
     dual basis still spans X in M, and e outside X joins the basis of M'/X
-    while it raises the M'-rank of X plus what was kept.
+    while it raises the M'-rank of X plus what was kept; that rank is kept
+    in a local, up by one at each join.
     """
     rm, rq = p.matroid.ranks, p.quotient.ranks
     target = rm[x]
     rest = x
-    span = x
+    span, r = x, rq[x]
     for e in p.ground.order:
         b = 1 << (e - 1)  # bit(e), inlined as in activities
         if b & x:
             if rm[rest ^ b] == target:
                 rest ^= b
-        elif rq[span | b] > rq[span]:
+        elif rq[span | b] > r:
             span |= b
+            r += 1
     return rest | (span ^ x)
 
 
 def bijection_table(p: Perspective) -> list:
     """Rows for every valid B, sorted by (size, lex)."""
+    low, n, rank = p.ground.mask, p.ground.mask.bit_length(), p.matroid.rank()
+    new = tuple.__new__  # BijectionRow's own __new__ adds a call per row
+    rows = []
+    for key, bs in activity_classes(p.quotient, p.matroid, True).items():
+        internal, external = key & low, key >> n
+        counts = internal.bit_count(), external.bit_count()
+        terms = {}  # |B| -> the class's triple for it
+        for b in bs:
+            size = b.bit_count()
+            if size not in terms:
+                terms[size] = (*counts, rank - size)
+            rows.append(new(BijectionRow, (b, internal, external, b & ~internal | external, terms[size])))
     key = p.ground.size_lex_key
-    rows = [BijectionRow(b, internal, external, b & ~internal | external, monomial)
-            for b, internal, external, monomial in unpacked(p.quotient, p.matroid)]
     rows.sort(key=lambda row: key(row[0]))
     return rows

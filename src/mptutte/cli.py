@@ -303,20 +303,24 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
 
     def intervals():
         covered = bytearray(1 << doc.ground.size)
+        cubes = {}  # free mask -> its submasks in increasing order, built once per mask
         for row in rows:
             lower = row.b & ~row.internal
             free = (row.b | row.external) & ~lower
-            t = 0
-            while True:
+            cube = cubes.get(free)
+            if cube is None:
+                cubes[free] = cube = [0]
+                t = 0
+                while t != free:
+                    t = (t - free) & free
+                    cube.append(t)
+            for t in cube:
                 s = lower | t
                 if covered[s]:
                     owner = next(r.b for r in rows if not (r.b & ~r.internal & ~s or s & ~(r.b | r.external)))
                     raise _CheckFailure(f"{fmt(s)} lies in the intervals of both "
                                         f"{fmt(owner)} and {fmt(row.b)}")
                 covered[s] = 1
-                if t == free:
-                    break
-                t = (t - free) & free
         missing = covered.count(0)
         if missing:
             raise _CheckFailure(f"{missing} subsets not covered by any interval")

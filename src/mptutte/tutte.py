@@ -55,12 +55,13 @@ def tutte_rank_generating(p: Perspective) -> Poly:
         (x-1)^(r(M') - r_{M'}(A)) * (y-1)^(|A| - r_M(A)) * z^defect(A).
 
     Lane A of one packed int holds the mixed-radix key of that exponent
-    triple, linear in r_{M'}(A), r_M(A) and |A|; the keys are counted in C and
-    each distinct one is expanded once.  Lanes are bytes while the keys fit
-    one, else 16 bits.  A missing position of a gapped ground set is a loop
-    left out of |A|, so each key counts 2^gaps times.  The rows of
-    (x-1)^0..(x-1)^r(M') and (y-1)^0..(y-1)^n are built once per exponent
-    per process (_power_rows).
+    triple, linear in r_{M'}(A), r_M(A) and |A|; the keys are counted in C.
+    Each distinct key's (y-1)^j row is folded into a map keyed by (i, y
+    exponent, defect), and (x-1)^i is expanded once per entry of that map.
+    Lanes are bytes while the keys fit one, else 16 bits.  A missing position
+    of a gapped ground set is a loop left out of |A|, so each key counts
+    2^gaps times.  The rows of (x-1)^0..(x-1)^r(M') and (y-1)^0..(y-1)^n are
+    built once per exponent per process (_power_rows).
     """
     rm, rq = p.matroid.ranks, p.quotient.ranks
     full_m, full_q, n = p.matroid.rank(), p.quotient.rank(), p.ground.size
@@ -88,10 +89,13 @@ def tutte_rank_generating(p: Perspective) -> Poly:
     # lanes in native byte order, so the cast reads each key
     counts = Counter(memoryview(keys.to_bytes(width * size, sys.byteorder)).cast("BH"[width - 1]))
     xm1, ym1 = _power_rows(X - 1, full_q), _power_rows(Y - 1, n)
-    return Poly(((a, b, key % span_d), u * v * (count * 2**n // size))
-                for key, count in counts.items()
-                for (a, _, _), u in xm1[key // (span_j * span_d)]
-                for (_, b, _), v in ym1[key // span_d % span_j])
+    folded = Counter()  # (i, y exponent, defect) -> coefficient, before (x-1)^i
+    for key, count in counts.items():
+        i, j, d = key // (span_j * span_d), key // span_d % span_j, key % span_d
+        count = count * 2**n // size
+        for (_, b, _), v in ym1[j]:
+            folded[i, b, d] += v * count
+    return Poly(((a, b, d), u * v) for (i, b, d), v in folded.items() for (a, _, _), u in xm1[i])
 
 
 @cache

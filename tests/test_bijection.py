@@ -1,6 +1,7 @@
 import pytest
 
 from mptutte import (
+    BijectionRow,
     DomainError,
     GroundSet,
     Perspective,
@@ -81,6 +82,18 @@ def test_table_row_invariants(fixture):
         assert row.x == (row.b & ~row.internal) | row.external
         assert row.internal & ~row.b == 0
         assert row.external & row.b == 0
+
+
+def test_table_rows_are_bijection_rows(corpus):
+    # the rows are built through tuple.__new__; check's tests edit them with
+    # _replace, which only a BijectionRow has
+    for name, p in corpus[::7]:
+        rank = p.matroid.rank()
+        for row in bijection_table(p):
+            assert type(row) is BijectionRow, name
+            assert row.monomial == (row.internal.bit_count(), row.external.bit_count(),
+                                    rank - row.b.bit_count()), name
+            assert row._replace(x=0) == (row.b, row.internal, row.external, 0, row.monomial)
 
 
 def test_table_single_coloop():

@@ -1,11 +1,11 @@
 """The top-down prefix passes against the 2^n scans they replaced.
 
-valid_sets_with_activities (behind independent_spanning_sets,
-tutte_activities and bijection_table) and compatible_family grow their
-families one prefix at a time.  Here they are compared with a filter over
-every subset: brute-force ranks on the corpus, the rank tables on the larger
-matroids, and the per-subset activity pass (activities, in_family) for the
-activities, their exponent counts and D.
+activity_classes (behind independent_spanning_sets, tutte_activities and
+bijection_table) and compatible_family grow their families one prefix at a
+time.  Here they are compared with a filter over every subset: brute-force
+ranks on the corpus, the rank tables on the larger matroids, and the
+per-subset activity pass (activities, in_family) for the classes under both
+keys and for D.
 """
 
 import random
@@ -27,7 +27,7 @@ from mptutte import (
     tutte_activities,
     uniform_matroid,
 )
-from mptutte.activities import activities, valid_sets_with_activities
+from mptutte.activities import activities, activity_classes
 from mptutte.compatible import in_family
 from mptutte.setcore import MAX_ELEMENTS
 from corpus import ladder
@@ -41,20 +41,26 @@ def wheel(spokes):
     return Multigraph(vertices=vertices, edges=tuple(edges))
 
 
-def packed(p, b):
-    """The state the prefix pass must hold for B: B, Int << n, Ext << 2n and
-    |Int| + 32|Ext| + 1024|B| << 3n, the masks from the per-subset pass."""
+def classes(p, valid, masks):
+    """The classes the prefix pass must return for the valid sets `valid`:
+    each B filed under Int | Ext << n, or |Int| + 32|Ext|, the masks from the
+    per-subset pass; each class sorted."""
     n = p.ground.mask.bit_length()
-    internal, external = activities(p.quotient, p.matroid, b)
-    counts = internal.bit_count() + 32 * external.bit_count() + 1024 * b.bit_count()
-    return b | internal << n | external << 2 * n | counts << 3 * n
+    out = {}
+    for b in valid:
+        internal, external = activities(p.quotient, p.matroid, b)
+        key = (internal | external << n if masks
+               else internal.bit_count() + 32 * external.bit_count())
+        out.setdefault(key, []).append(b)
+    return {key: sorted(bs) for key, bs in out.items()}
 
 
 def assert_passes_match_scans(p, valid, name):
     """`valid`: the valid sets, sorted by size then lex, from a subset filter."""
     assert p.independent_spanning_sets() == valid, name
-    rows = valid_sets_with_activities(p.quotient, p.matroid)
-    assert sorted(rows) == sorted(packed(p, b) for b in valid), name
+    for masks in (True, False):
+        got = activity_classes(p.quotient, p.matroid, masks)
+        assert {key: sorted(bs) for key, bs in got.items()} == classes(p, valid, masks), name
     assert compatible_family(p) == [x for x in p.ground.subsets() if in_family(p, x)], name
 
 
@@ -103,6 +109,8 @@ def test_packed_counts_reach_the_size_limit():
     for m, b, term in ((free_matroid(ground), ground.mask, (MAX_ELEMENTS, 0, 0)),
                        (rank_zero_matroid(ground), 0, (0, MAX_ELEMENTS, 0))):
         p = Perspective(m, m)
-        assert valid_sets_with_activities(m, m) == [packed(p, b)]
+        # |Int| = 24 stays inside the 5-bit field of the counts key
+        assert activity_classes(m, m, False) == {term[0] + 32 * term[1]: [b]}
+        assert activity_classes(m, m, True) == {b | (ground.mask ^ b) << MAX_ELEMENTS: [b]}
         assert tutte_activities(p) == Poly.monomial(*term)
         assert [(row.b, row.monomial) for row in bijection_table(p)] == [(b, term)]
