@@ -76,6 +76,14 @@ def is_compatible(m: Matroid, x: int) -> bool:
     return True
 
 
+def compatible_family(matroid: Matroid, quotient: Matroid) -> list:
+    """D(M, M', <) by circuit scans, in increasing mask order: the X
+    compatible with (M')* whose complement is compatible with M."""
+    full, dual_q = matroid.ground.mask, quotient.dual()
+    return [x for x in matroid.ground.subsets()
+            if is_compatible(dual_q, x) and is_compatible(matroid, full ^ x)]
+
+
 def check_perspective(matroid: Matroid, quotient: Matroid):
     """Raise PerspectiveError at the first circuit of `matroid` (in mask
     order) that is not a union of the `quotient`-circuits inside it."""

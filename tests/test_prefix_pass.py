@@ -5,10 +5,12 @@ bijection_table) and compatible_family grow their families one prefix at a
 time.  Here they are compared with a filter over every subset: brute-force
 ranks on the corpus, the rank tables on the larger matroids, and the
 per-subset activity pass (activities, in_family) for the classes under both
-keys and for D.
+keys and for D.  compatible_family is also held to the circuit-literal D on
+pairs that are not perspectives, and to a memory bound per member of D.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,6 +19,7 @@ from mptutte import (
     GroundSet,
     Multigraph,
     Perspective,
+    PerspectiveError,
     Poly,
     bijection_table,
     compatible_family,
@@ -30,7 +33,7 @@ from mptutte import (
 from mptutte.activities import activities, activity_classes
 from mptutte.compatible import in_family
 from mptutte.setcore import MAX_ELEMENTS
-from corpus import ladder
+from corpus import ladder, random_circuit_matroids
 
 
 def wheel(spokes):
@@ -72,6 +75,42 @@ def test_passes_match_scans_on_corpus(corpus):
         rng.shuffle(order)
         for q in (p, p.reordered(order)):
             assert_passes_match_scans(q, oracle.valid_sets(q), (name, q.ground.order))
+
+
+def test_family_is_circuit_literal_on_pairs_that_are_not_perspectives(small_matroids):
+    # pairs built without validation: where M' is no quotient of M a prefix
+    # can find both steps barred, and the pass must still return exactly the
+    # X compatible with (M')* whose complement is compatible with M
+    perspectives = others = 0
+    for group in (small_matroids, random_circuit_matroids(4, 40, 11), random_circuit_matroids(5, 40, 12)):
+        for m in group:
+            for q in group:
+                if m.ground != q.ground:
+                    continue
+                p = Perspective.__new__(Perspective)
+                p.matroid, p.quotient = m, q
+                assert compatible_family(p) == oracle.compatible_family(m, q), (m, q)
+                try:
+                    oracle.check_perspective(m, q)
+                    perspectives += 1
+                except PerspectiveError:
+                    others += 1
+    assert others > perspectives > 0
+
+
+def test_family_peak_per_member():
+    # W8 over rank 0 in natural order: the prefixes are plain masks, about
+    # 54 bytes per member of D with the list slots
+    m = cycle_matroid(wheel(8))
+    p = Perspective(m, rank_zero_matroid(m.ground))
+    tracemalloc.start()
+    try:
+        family = compatible_family(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 18462
+    assert peak < 100 * len(family), peak / len(family)
 
 
 def ladder16_identified():

@@ -102,11 +102,12 @@ ROWS = [
     row("reader-gone-W8-table", ["table", *doc("wheel8_rank0")], 0,
         exact(b"B\tInt\tExt\tX\tTerm\n"), head=1),
     *(row(f"W8-{c}", [c, *doc("wheel8_rank0")], 0, sha256("wheel8_rank0", f"{c}.txt"))
-      for c in ("table", "check")),
+      for c in ("table", "compatible", "check")),
     # 2-byte counting lanes for both graphs (nullity 9, and 10 for G/~)
     *(row(f"ladder20-{m}", ["tutte", "--method", m, *doc("ladder20")], 0, sha256("ladder20", "tutte.txt"))
       for m in ("activities", "compatible", "rank-gen")),
     row("ladder20-table", ["table", *doc("ladder20")], 0, sha256("ladder20", "table.txt")),
+    row("ladder20-compatible", ["compatible", *doc("ladder20")], 0, sha256("ladder20", "compatible.txt")),
     # three byte planes of vertex rows for both graphs (19 rows, and 18 for G/~)
     *(row(f"cycle20-{m}", ["tutte", "--method", m, *doc("cycle20")], 0, sha256("cycle20", "tutte.txt"))
       for m in ("activities", "compatible", "rank-gen")),
