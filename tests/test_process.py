@@ -107,7 +107,7 @@ ROWS = [
     *(row(f"ladder20-{m}", ["tutte", "--method", m, *doc("ladder20")], 0, sha256("ladder20", "tutte.txt"))
       for m in ("activities", "compatible", "rank-gen")),
     row("ladder20-table", ["table", *doc("ladder20")], 0, sha256("ladder20", "table.txt")),
-    row("ladder20-compatible", ["compatible", *doc("ladder20")], 0, sha256("ladder20", "compatible.txt")),
+    row("ladder20-family", ["compatible", *doc("ladder20")], 0, sha256("ladder20", "compatible.txt")),
     # three byte planes of vertex rows for both graphs (19 rows, and 18 for G/~)
     *(row(f"cycle20-{m}", ["tutte", "--method", m, *doc("cycle20")], 0, sha256("cycle20", "tutte.txt"))
       for m in ("activities", "compatible", "rank-gen")),
