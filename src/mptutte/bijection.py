@@ -8,10 +8,12 @@ quotient:
     backward(X) = X \\ min_basis((M|X)*) ∪ min_basis(M'/X)
 
 Both minimal bases are found greedily with rank lookups in M and M'; no
-minor is built.  backward first proves X in D, then runs _inverse, the one
-implementation of that greedy pass.  `check`'s round trips take membership
-in D from their compatible pass and call _inverse directly; backward's own
-membership check runs there only to name a failing row.
+minor is built, and the pass stops once neither basis can change.  backward
+first proves X in D, then runs _inverse, the one implementation of that
+greedy pass.  `check`'s round trips take membership in D from their
+compatible pass and call _inverse directly on each valid set's image, read
+off its activity class; they build the table, and call backward, only when
+they have found a fault, to name its first row.
 
 bijection_table lays out one row per valid B, ordered by size then
 lexicographically, with the monomial exponents
@@ -62,23 +64,30 @@ def backward(p: Perspective, x: int) -> int:
 def _inverse(p: Perspective, x: int) -> int:
     """backward without the membership check: X is taken to be in D.
 
-    Scanning E in `<` order, e in X joins the dual basis while X minus the
-    dual basis still spans X in M, and e outside X joins the basis of M'/X
-    while it raises the M'-rank of X plus what was kept; that rank is kept
-    in a local, up by one at each join.
+    Scanning E in `<` order, e in X leaves the kept part of X while what is
+    kept still spans X in M, and e outside X joins the basis of M'/X while it
+    raises the M'-rank of X plus what joined; that rank is kept in a local,
+    up by one at each join.  The pass stops once the kept part is
+    independent (|rest| = r_M(X)) and r = r(M'): no element can then leave
+    or join, so `left` counts the moves still to come.
     """
     rm, rq = p.matroid.ranks, p.quotient.ranks
     target = rm[x]
     rest = x
     span, r = x, rq[x]
+    left = x.bit_count() - target + rq[p.ground.mask] - r
     for e in p.ground.order:
+        if not left:
+            break
         b = 1 << (e - 1)  # bit(e), inlined as in activities
         if b & x:
             if rm[rest ^ b] == target:
                 rest ^= b
+                left -= 1
         elif rq[span | b] > r:
             span |= b
             r += 1
+            left -= 1
     return rest | (span ^ x)
 
 

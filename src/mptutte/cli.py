@@ -17,8 +17,13 @@ a perspective document whose first matroid is M and second is M'.
 ``check`` tests the bijection f(B) = B \\ Int(B) ∪ Ext(B) one way plus a count:
 f(B) in D and g(f(B)) = B for each of the distinct valid sets B, and |D| equal
 to their number.  So f is injective into D, hence onto it, with inverse g.
-Membership in D is read off the compatible family, so g runs without proving
-it again; backward's own membership check runs only to name a failing row.
+It builds no table row: each activity class (Int, Ext) gives every one of its
+B the image B \\ Int ∪ Ext and the interval B \\ Int plus any part of Int ∪ Ext,
+and the classes' counts give the activities polynomial.  Membership in D is
+read off the compatible family, so g runs without proving it again.  A check
+that finds a fault runs again on the bijection table in table order, the only
+form that names a failure; there backward's own membership check runs to
+name the first failing row.
 
 Exit codes are a contract: 0 success, 1 parse/input error (a command-line
 usage error included), 2 invalid perspective, 3 property-check failure or a
@@ -35,6 +40,7 @@ import re
 import sys
 from collections import Counter, namedtuple
 
+from .activities import activity_classes
 from .bijection import _inverse, backward, bijection_table
 from .compatible import compatible_family
 from .errors import AxiomError, ConsistencyError, DomainError, ParseError, PerspectiveError
@@ -43,7 +49,7 @@ from .matroid import Matroid
 from .perspective import Perspective
 from .polynomial import Poly
 from .setcore import MAX_ELEMENTS, GroundSet
-from .tutte import tutte_activities, tutte_compatible, tutte_rank_generating
+from .tutte import _compatible_sum, tutte_activities, tutte_compatible, tutte_rank_generating
 
 SET_RE = re.compile(r"\{([^{}]*)\}")
 METHODS = {
@@ -260,8 +266,11 @@ def cmd_table(doc: InputDocument) -> str:
 def cmd_compatible(doc: InputDocument) -> str:
     """The compatible family, one set per line, ascending size then lex."""
     p = document_perspective(doc)
-    family = sorted(compatible_family(p), key=doc.ground.size_lex_key)
-    return "\n".join(map(doc.ground.fmt, family))
+    family = compatible_family(p)
+    family.sort(key=doc.ground.size_lex_key)  # in place: no second list of D
+    fmt = doc.ground.fmt
+    # joined a block at a time, so D's lines are never all alive at once
+    return "\n".join(["\n".join(map(fmt, family[i:i + 4096])) for i in range(0, len(family), 4096)])
 
 
 def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
@@ -277,13 +286,39 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         except (_CheckFailure, DomainError) as e:  # the input is valid by now: a failed check
             results.append((name, False, str(e)))
 
-    rows = bijection_table(p)
+    low, n = p.ground.mask, p.ground.mask.bit_length()
+    # (Int, Ext, the valid sets B with them) per activity class
+    classes = [(key & low, key >> n, bs)
+               for key, bs in activity_classes(p.quotient, p.matroid, True).items()]
+    total = sum(len(bs) for _, _, bs in classes)
     family = compatible_family(p)
-    family_set = set(family)
+    rows = []  # the bijection table, built only to name a fault the rowless passes found
+
+    def by_rows(row_form):
+        """Run a check again in its row form, the one that names a fault."""
+        if not rows:
+            rows.extend(bijection_table(p))
+        row_form()
 
     def round_trips():
+        # bit 0 marks the members of D, bit 1 each B already met
+        seen = bytearray(1 << n)
+        for x in family:
+            seen[x] = 1
+        for internal, external, bs in classes:
+            keep = ~internal
+            for b in bs:
+                x = b & keep | external
+                if not seen[x] & 1 or seen[b] & 2 or _inverse(p, x) != b:
+                    return by_rows(row_round_trips)
+                seen[b] |= 2
+        if len(family) != total:
+            by_rows(row_round_trips)
+
+    def row_round_trips():
         # membership in D is read off family_set, so each image is inverted
         # without backward's own membership pass
+        family_set = set(family)
         for i, row in enumerate(rows):
             if row.x not in family_set:
                 fail(i, f"f({fmt(row.b)}) = {fmt(row.x)} is not compatible")
@@ -302,19 +337,28 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         raise _CheckFailure(message)
 
     def intervals():
-        covered = bytearray(1 << doc.ground.size)
-        cubes = {}  # free mask -> its submasks in increasing order, built once per mask
+        # every B of a class spans the cube of the class's free mask Int | Ext
+        # from B \ Int; 2^n marks with no subset left unmarked mark none twice
+        covered = bytearray(1 << n)
+        marks = 0
+        for internal, external, bs in classes:
+            free = internal | external
+            cube = _submasks(free)
+            marks += len(bs) * len(cube)
+            for b in bs:
+                lower = b & ~internal
+                if (b | external) & ~lower != free:  # Int not inside B, or Ext meets B \ Int
+                    return by_rows(row_intervals)
+                for t in cube:
+                    covered[lower | t] = 1
+        if marks != len(covered) or covered.count(0):
+            by_rows(row_intervals)
+
+    def row_intervals():
+        covered = bytearray(1 << n)
         for row in rows:
             lower = row.b & ~row.internal
-            free = (row.b | row.external) & ~lower
-            cube = cubes.get(free)
-            if cube is None:
-                cubes[free] = cube = [0]
-                t = 0
-                while t != free:
-                    t = (t - free) & free
-                    cube.append(t)
-            for t in cube:
+            for t in _submasks((row.b | row.external) & ~lower):
                 s = lower | t
                 if covered[s]:
                     owner = next(r.b for r in rows if not (r.b & ~r.internal & ~s or s & ~(r.b | r.external)))
@@ -325,10 +369,13 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         if missing:
             raise _CheckFailure(f"{missing} subsets not covered by any interval")
 
-    base = Poly(Counter(row.monomial for row in rows))
+    rank = p.matroid.rank()
+    base = Poly(((internal.bit_count(), external.bit_count(), rank - size), count)
+                for internal, external, bs in classes
+                for size, count in Counter(map(int.bit_count, bs)).items())
 
     def agreement():
-        c = tutte_compatible(p)
+        c = _compatible_sum(p, family)
         r = tutte_rank_generating(p)
         if not (base == c == r):
             raise _CheckFailure(
@@ -359,6 +406,16 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         lines.append(f"{mark:4s} {name}" + (f": {detail}" if detail else ""))
     lines.append("all checks passed" if ok else "CHECKS FAILED")
     return "\n".join(lines), ok
+
+
+def _submasks(free: int) -> list:
+    """Every submask of `free`, in increasing order."""
+    cube = [0]
+    t = 0
+    while t != free:
+        t = (t - free) & free
+        cube.append(t)
+    return cube
 
 
 class _CheckFailure(Exception):

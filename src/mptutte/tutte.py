@@ -43,10 +43,15 @@ def tutte_activities(p: Perspective) -> Poly:
 
 def tutte_compatible(p: Perspective) -> Poly:
     """Sum of x^r(M'/X) y^r*(M|X) z^defect over the compatible family."""
+    return _compatible_sum(p, compatible_family(p))
+
+
+def _compatible_sum(p: Perspective, family) -> Poly:
+    """tutte_compatible's sum over `family`, for a caller that already holds D."""
     rm, rq = p.matroid.ranks, p.quotient.ranks
     full_m, full_q = p.matroid.rank(), p.quotient.rank()
     return Poly(Counter((full_q - rq[x], x.bit_count() - rm[x], full_m - full_q - rm[x] + rq[x])
-                        for x in compatible_family(p)))
+                        for x in family))
 
 
 def tutte_rank_generating(p: Perspective) -> Poly:

@@ -108,6 +108,8 @@ ROWS = [
       for m in ("activities", "compatible", "rank-gen")),
     row("ladder20-table", ["table", *doc("ladder20")], 0, sha256("ladder20", "table.txt")),
     row("ladder20-family", ["compatible", *doc("ladder20")], 0, sha256("ladder20", "compatible.txt")),
+    # the quotient G/~ has rank > 0, so check's inverse stops on both sides
+    row("ladder20-check", ["check", *doc("ladder20")], 0, sha256("ladder20", "check.txt")),
     # three byte planes of vertex rows for both graphs (19 rows, and 18 for G/~)
     *(row(f"cycle20-{m}", ["tutte", "--method", m, *doc("cycle20")], 0, sha256("cycle20", "tutte.txt"))
       for m in ("activities", "compatible", "rank-gen")),

@@ -6,8 +6,10 @@ compatibility test, the compatible family, the perspective check and the
 circuit-built tables independently.
 """
 
+import functools
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +22,11 @@ from mptutte import (
     Perspective,
     PerspectiveError,
     backward,
+    cli,
     compatible_family,
     cycle_matroid,
     externally_active,
+    forward,
     identify_vertices,
     internally_active,
     is_compatible,
@@ -30,6 +34,8 @@ from mptutte import (
 )
 from mptutte.bijection import _inverse
 from corpus import all_matroids_up_to, ladder, random_circuit_matroids
+
+DATA = Path(__file__).parent / "data"
 
 
 def construction_corpus():
@@ -93,6 +99,39 @@ def test_inverse_matches_oracle_on_corpus_slice(corpus):
             assert backward(p, x) == expected, (name, x)
             checked += 1
     assert checked == 3561, checked
+
+
+@pytest.mark.parametrize("which", ["wheel8-rank0", "ladder20", "uniform-4-over-3-10", "identity-corpus"])
+def test_inverse_stops_only_when_nothing_can_move(corpus, which):
+    # _inverse stops once the kept part of X is independent in M and its M'-rank
+    # is full, so on every member of D it must still give the oracle's inverse.
+    # W8 over rank 0 has only the first stop; ladder-20 with v0=v3 identified has
+    # r(M') > 0, so the second fires too.  Their oracle is forward's table: the
+    # flag-table inverse builds 2^|X|-entry tables per member, 0.1 s each on W8.
+    if which == "identity-corpus":
+        cases = [p for name, p in corpus if name.startswith("identity(")]
+    elif which == "uniform-4-over-3-10":
+        g = GroundSet(10)
+        cases = [Perspective(uniform_matroid(4, g), uniform_matroid(3, g))]
+    else:
+        text = (DATA / f"{which.replace('-', '_')}.txt").read_text()
+        cases = [cli.document_perspective(cli.parse_input(text))]
+    checked = 0
+    for p in cases:
+        family = compatible_family(p)
+        if p.ground.size > 12:
+            preimage = {forward(p, b): b for b in p.independent_spanning_sets()}
+            assert sorted(preimage) == family
+            expected = preimage.__getitem__
+        else:
+            expected = functools.partial(oracle.backward, p)
+        for x in family:
+            assert _inverse(p, x) == expected(x), x
+            checked += 1
+    assert checked == {"wheel8-rank0": 18462, "ladder20": 12776, "uniform-4-over-3-10": 330,
+                       "identity-corpus": 1665}[which]
+    if which == "ladder20":
+        assert p.quotient.rank() > 0
 
 
 @pytest.mark.parametrize("which", ["uniform-4-12", "ladder-12", "ladder-12-identified",
