@@ -25,6 +25,12 @@ that finds a fault runs again on the bijection table in table order, the only
 form that names a failure; there backward's own membership check runs to
 name the first failing row.
 
+``table`` is written by size of B, in chunks of at most TABLE_CHUNK lines,
+from the bijection module's packed order: each row costs two set prints, and
+each activity class's Int and Ext columns and each term are formatted once.
+Everything that can fail (parsing, the axioms, the perspective and the class
+pass) runs before the first line is written.
+
 Exit codes are a contract: 0 success, 1 parse/input error (a command-line
 usage error included), 2 invalid perspective, 3 property-check failure or a
 tripped internal cross-check (ConsistencyError).  A reader closing stdout
@@ -39,9 +45,10 @@ import os
 import re
 import sys
 from collections import Counter, namedtuple
+from collections.abc import Iterator
 
 from .activities import activity_classes
-from .bijection import _inverse, backward, bijection_table
+from .bijection import _inverse, _table_order, backward, bijection_table
 from .compatible import compatible_family
 from .errors import AxiomError, ConsistencyError, DomainError, ParseError, PerspectiveError
 from .graphic import Multigraph, components, cycle_matroid, identify_vertices
@@ -52,6 +59,7 @@ from .setcore import MAX_ELEMENTS, GroundSet
 from .tutte import _compatible_sum, tutte_activities, tutte_compatible, tutte_rank_generating
 
 SET_RE = re.compile(r"\{([^{}]*)\}")
+TABLE_CHUNK = 65536  # most lines `table` writes at once
 METHODS = {
     "activities": tutte_activities,
     "compatible": tutte_compatible,
@@ -249,18 +257,35 @@ def cmd_tutte(doc: InputDocument, method: str = "activities") -> str:
     return str(METHODS[method](document_perspective(doc)))
 
 
-def cmd_table(doc: InputDocument) -> str:
-    """TSV bijection table: columns B, Int, Ext, X, Term."""
+def cmd_table(doc: InputDocument) -> Iterator[str]:
+    """TSV bijection table, columns B, Int, Ext, X, Term, as chunks of lines
+    to write in turn, each followed by a newline: the header, then each size
+    of B in chunks of at most TABLE_CHUNK lines.  Everything that can fail
+    runs before it returns; the chunks are only formatted."""
     p = document_perspective(doc)
+    classes, sizes, cmask = _table_order(p)
     fmt = doc.ground.fmt
-    terms = {}  # exponent triple -> its term; a table has few distinct triples
-    lines = ["B\tInt\tExt\tX\tTerm"]
-    for row in bijection_table(p):
-        if row.monomial not in terms:
-            terms[row.monomial] = str(Poly.monomial(*row.monomial))
-        lines.append(f"{fmt(row.b)}\t{fmt(row.internal)}\t{fmt(row.external)}\t{fmt(row.x)}\t"
-                     f"{terms[row.monomial]}")
-    return "\n".join(lines)
+    low, n, rank = p.ground.mask, p.ground.mask.bit_length(), p.matroid.rank()
+    pairs = {}  # (|Int|, |Ext|) -> its index; a table has few distinct pairs
+    # per class: the text between B and X, Int | Ext (X = B ^ Int ^ Ext), its pair's index
+    parts = [(f"\t{fmt(internal)}\t{fmt(external)}\t", internal | external,
+              pairs.setdefault((internal.bit_count(), external.bit_count()), len(pairs)))
+             for internal, external in classes]
+
+    def chunks():
+        yield "B\tInt\tExt\tX\tTerm"
+        for size, order in enumerate(sizes):
+            terms = [f"\t{Poly.monomial(*pair, rank - size)}" for pair in pairs] if order else []
+            for start in range(0, len(order), TABLE_CHUNK):
+                lines = []
+                for v in order[start:start + TABLE_CHUNK]:
+                    b = v & low
+                    between, free, pair = parts[v >> n & cmask]
+                    lines.append(f"{fmt(b)}{between}{fmt(b ^ free)}{terms[pair]}")
+                yield "\n".join(lines)
+            sizes[size] = None  # written: its ints can go
+
+    return chunks()
 
 
 def cmd_compatible(doc: InputDocument) -> str:
@@ -474,19 +499,21 @@ def main(argv=None) -> int:
             text = getattr(sys.stdin, "buffer", sys.stdin).read()
         doc = parse_input(text.decode("utf-8") if isinstance(text, bytes) else text)
         if args.command == "tutte":
-            out = cmd_tutte(doc, args.method)
+            chunks = [cmd_tutte(doc, args.method)]
         elif args.command == "table":
-            out = cmd_table(doc)
+            chunks = cmd_table(doc)
         elif args.command == "compatible":
-            out = cmd_compatible(doc)
+            chunks = [cmd_compatible(doc)]
         else:
-            out, ok = cmd_check(doc, seed=args.seed)
+            report, ok = cmd_check(doc, seed=args.seed)
+            chunks = [report]
     except (ParseError, AxiomError, DomainError, OSError, UnicodeDecodeError,
             PerspectiveError, ConsistencyError) as e:
         _write_line(sys.stderr, f"error: {e}")
         return {PerspectiveError: 2, ConsistencyError: 3}.get(type(e), 1)
     try:
-        _write_line(sys.stdout, out)
+        for chunk in chunks:
+            _write_line(sys.stdout, chunk)
     except BrokenPipeError:  # the reader left: what shutdown flushes goes nowhere too
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())

@@ -42,7 +42,7 @@ def in_family(p: Perspective, x: int) -> bool:
 
 def compatible_family(p: Perspective) -> list:
     """All X with X compatible for quotient* and E \\ X compatible for the
-    matroid, in increasing mask order: the prefixes Y, plain masks, that
+    matroid, in an unspecified order: the prefixes Y, plain masks, that
     survive both tests at every element from the top of the order down."""
     rm, rq = p.matroid.ranks, p.quotient.ranks
     below = p.ground.mask
@@ -58,4 +58,4 @@ def compatible_family(p: Perspective) -> list:
             if rq[t] == rq[t | b]:
                 grown.append(y | b)
         prefixes = grown
-    return sorted(prefixes)
+    return prefixes

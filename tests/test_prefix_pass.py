@@ -64,7 +64,7 @@ def assert_passes_match_scans(p, valid, name):
     for masks in (True, False):
         got = activity_classes(p.quotient, p.matroid, masks)
         assert {key: sorted(bs) for key, bs in got.items()} == classes(p, valid, masks), name
-    assert compatible_family(p) == [x for x in p.ground.subsets() if in_family(p, x)], name
+    assert sorted(compatible_family(p)) == [x for x in p.ground.subsets() if in_family(p, x)], name
 
 
 def test_passes_match_scans_on_corpus(corpus):
@@ -89,7 +89,7 @@ def test_family_is_circuit_literal_on_pairs_that_are_not_perspectives(small_matr
                     continue
                 p = Perspective.__new__(Perspective)
                 p.matroid, p.quotient = m, q
-                assert compatible_family(p) == oracle.compatible_family(m, q), (m, q)
+                assert sorted(compatible_family(p)) == oracle.compatible_family(m, q), (m, q)
                 try:
                     oracle.check_perspective(m, q)
                     perspectives += 1

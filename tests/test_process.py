@@ -58,6 +58,7 @@ def sha256(doc, name): return lambda got: (hashlib.sha256(got).hexdigest(), SUMS
 def last_line(line): return lambda got: (got.splitlines()[-1:], [line.encode()])
 def search(*patterns): return lambda got: ([p for p in patterns if not re.search(p, got.decode(), re.M)], [])
 def same_as(*argv): return lambda got: (got, run(argv)[1])
+def head_of(count, *argv): return lambda got: (got, b"".join(run(argv)[1].splitlines(keepends=True)[:count]))
 
 
 EMPTY = exact(b"")
@@ -101,6 +102,9 @@ ROWS = [
       for c in ("tutte", "table", "compatible", "check")),
     row("reader-gone-W8-table", ["table", *doc("wheel8_rank0")], 0,
         exact(b"B\tInt\tExt\tX\tTerm\n"), head=1),
+    # past the first size classes: the reader leaves while the table is still being written
+    row("reader-gone-W8-table-mid", ["table", *doc("wheel8_rank0")], 0,
+        head_of(3000, "table", *doc("wheel8_rank0")), head=3000),
     *(row(f"W8-{c}", [c, *doc("wheel8_rank0")], 0, sha256("wheel8_rank0", f"{c}.txt"))
       for c in ("table", "compatible", "check")),
     # 2-byte counting lanes for both graphs (nullity 9, and 10 for G/~)

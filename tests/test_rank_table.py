@@ -82,7 +82,7 @@ def test_compatibility_matches_oracle_on_corpus(corpus):
             for x in p.ground.subsets():
                 assert is_compatible(matroid, x) == oracle.is_compatible(matroid, x), (name, x)
         expected = oracle.compatible_family(m, q)
-        assert compatible_family(p) == expected, name
+        assert sorted(compatible_family(p)) == expected, name
         for x in expected:
             via_minors = (x & ~m.restrict(x).dual().min_basis()) | q.contract(x).min_basis()
             assert backward(p, x) == via_minors, (name, x)
@@ -121,7 +121,7 @@ def test_inverse_stops_only_when_nothing_can_move(corpus, which):
         family = compatible_family(p)
         if p.ground.size > 12:
             preimage = {forward(p, b): b for b in p.independent_spanning_sets()}
-            assert sorted(preimage) == family
+            assert sorted(preimage) == sorted(family)
             expected = preimage.__getitem__
         else:
             expected = functools.partial(oracle.backward, p)
