@@ -37,9 +37,10 @@ each B, and an open step keeps the key and lists both B and B + e, so a
 class has at most three successors per level.  The key is Int | Ext << n
 (n the ground mask's bit length) when the caller needs the masks, and
 |Int| + 32|Ext| when it needs only the counts: a count is at most
-MAX_ELEMENTS = 24, so the 5-bit field holds |Int|.  Every B of one class
-shares its Int, Ext and so its monomial but for the power of z, which
-|B| gives.
+MAX_ELEMENTS = 24, so the 5-bit field holds |Int|.  The key is decoded
+once, at the end: the classes come out as triples (Int, Ext, list of B),
+so no caller knows the packing.  Every B of one class shares its Int, Ext
+and so its monomial but for the power of z, which |B| gives.
 """
 
 from collections import Counter
@@ -68,10 +69,10 @@ def activities(quotient: Matroid, matroid: Matroid, x: int) -> tuple:
     return internal, external
 
 
-def activity_classes(quotient: Matroid, matroid: Matroid, masks: bool) -> dict:
+def activity_classes(quotient: Matroid, matroid: Matroid, masks: bool) -> list:
     """Every B independent in `matroid` and spanning in `quotient`, filed by
-    its activities: key -> list of B, the key Int_{quotient}(B) |
-    Ext_{matroid}(B) << n if `masks`, else |Int| + 32|Ext|."""
+    its activities: one (Int_{quotient}(B), Ext_{matroid}(B), list of B)
+    triple per class, Int and Ext as masks if `masks`, else as sizes."""
     ground = matroid.ground
     rq, rm = quotient.ranks, matroid.ranks
     full = rq[ground.mask]
@@ -113,19 +114,15 @@ def activity_classes(quotient: Matroid, matroid: Matroid, masks: bool) -> dict:
                 else:
                     grown[key] = either
         classes = grown
-    return classes
-
-
-def valid_sets(quotient: Matroid, matroid: Matroid) -> list:
-    """Every B independent in `matroid` and spanning in `quotient`, unordered."""
-    return [b for bs in activity_classes(quotient, matroid, False).values() for b in bs]
+    low, high = (ground.mask, n) if masks else (31, 5)
+    return [(key & low, key >> high, bs) for key, bs in classes.items()]
 
 
 def monomial_counts(quotient: Matroid, matroid: Matroid) -> list:
     """((|Int|, |Ext|, r(matroid) - |B|), number of valid B with it) pairs."""
     rank = matroid.rank()
-    return [((key & 31, key >> 5, rank - size), count)
-            for key, bs in activity_classes(quotient, matroid, False).items()
+    return [((internal, external, rank - size), count)
+            for internal, external, bs in activity_classes(quotient, matroid, False)
             for size, count in Counter(map(int.bit_count, bs)).items()]
 
 

@@ -12,15 +12,17 @@ minor is built, and the pass stops once neither basis can change.  backward
 first proves X in D, then runs _inverse, the one implementation of that
 greedy pass.  `check`'s round trips take membership in D from their
 compatible pass and call _inverse directly on each valid set's image, read
-off its activity class; they build the table, and call backward, only when
-they have found a fault, to name its first row.
+off its activity class; only when they have found a fault do they build the
+table and run backward, the checked g, row by row to name the first failing
+row.
 
 bijection_table lays out one row per valid B, ordered by size then
 lexicographically, with the monomial exponents
 (|Int|, |Ext|, rank defect) that drive the trivariate polynomial.  It and
 the CLI's `table` share one order, built by _table_order from activities'
-top-down pass, which files the valid sets by (Int, Ext): each class gets an
-index c, each of its B is packed into the plain int
+top-down pass, which files the valid sets by (Int, Ext) and hands each
+class over as a triple (Int, Ext, list of B).  Each class gets an index c,
+each of its B is packed into the plain int
 size_lex_key(B) << (n + bits of c) | c << n | B in a list for |B|, and each
 list is sorted by a bare list.sort().  size_lex_key is injective, so the
 ints sort exactly as the sets do, and a row reads B and its class back off
@@ -119,16 +121,16 @@ def _table_order(p: Perspective) -> tuple:
     k, size_lex_key(B) << (n + cbits) | c << n | B with c its class's index,
     so B = v & mask and c = v >> n & cmask.  size_lex_key is injective, so
     a bare sort of the ints is the table's order."""
-    low, n, key = p.ground.mask, p.ground.mask.bit_length(), p.ground.size_lex_key
+    n, key = p.ground.mask.bit_length(), p.ground.size_lex_key
     found = activity_classes(p.quotient, p.matroid, True)
     cbits = len(found).bit_length()
     shift = n + cbits
     classes, sizes = [], [[] for _ in range(n + 1)]
     appends = [order.append for order in sizes]
     while found:  # popped, so each class's list is freed once packed
-        k, bs = found.popitem()
+        internal, external, bs = found.pop()
         c = len(classes) << n
-        classes.append((k & low, k >> n))
+        classes.append((internal, external))
         for b in bs:
             appends[b.bit_count()](key(b) << shift | c | b)
     for order in sizes:

@@ -22,14 +22,16 @@ B the image B \\ Int ∪ Ext and the interval B \\ Int plus any part of Int ∪ 
 and the classes' counts give the activities polynomial.  Membership in D is
 read off the compatible family, so g runs without proving it again.  A check
 that finds a fault runs again on the bijection table in table order, the only
-form that names a failure; there backward's own membership check runs to
-name the first failing row.
+form that names a failure: there the checked g, bijection.backward, runs on
+each row in turn, so its own refusal of an image outside D names the first
+failing row.
 
 ``table`` is written by size of B, in chunks of at most TABLE_CHUNK lines,
 from the bijection module's packed order: each row costs two set prints, and
 each activity class's Int and Ext columns and each term are formatted once.
-Everything that can fail (parsing, the axioms, the perspective and the class
-pass) runs before the first line is written.
+``compatible`` is written in chunks of at most TABLE_CHUNK lines too.  For
+both, everything that can fail (parsing, the axioms, the perspective and the
+class or family pass) runs before the first line is written.
 
 Exit codes are a contract: 0 success, 1 parse/input error (a command-line
 usage error included), 2 invalid perspective, 3 property-check failure or a
@@ -55,7 +57,7 @@ from .graphic import Multigraph, components, cycle_matroid, identify_vertices
 from .matroid import Matroid
 from .perspective import Perspective
 from .polynomial import Poly
-from .setcore import MAX_ELEMENTS, GroundSet
+from .setcore import MAX_ELEMENTS, GroundSet, submasks
 from .tutte import _compatible_sum, tutte_activities, tutte_compatible, tutte_rank_generating
 
 SET_RE = re.compile(r"\{([^{}]*)\}")
@@ -288,14 +290,15 @@ def cmd_table(doc: InputDocument) -> Iterator[str]:
     return chunks()
 
 
-def cmd_compatible(doc: InputDocument) -> str:
-    """The compatible family, one set per line, ascending size then lex."""
+def cmd_compatible(doc: InputDocument) -> Iterator[str]:
+    """The compatible family, one set per line, ascending size then lex, as
+    chunks of at most TABLE_CHUNK lines to write in turn, each followed by a
+    newline.  Everything that can fail runs before it returns."""
     p = document_perspective(doc)
     family = compatible_family(p)
     family.sort(key=doc.ground.size_lex_key)  # in place: no second list of D
     fmt = doc.ground.fmt
-    # joined a block at a time, so D's lines are never all alive at once
-    return "\n".join(["\n".join(map(fmt, family[i:i + 4096])) for i in range(0, len(family), 4096)])
+    return ("\n".join(map(fmt, family[i:i + TABLE_CHUNK])) for i in range(0, len(family), TABLE_CHUNK))
 
 
 def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
@@ -311,19 +314,11 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         except (_CheckFailure, DomainError) as e:  # the input is valid by now: a failed check
             results.append((name, False, str(e)))
 
-    low, n = p.ground.mask, p.ground.mask.bit_length()
+    n = p.ground.mask.bit_length()
     # (Int, Ext, the valid sets B with them) per activity class
-    classes = [(key & low, key >> n, bs)
-               for key, bs in activity_classes(p.quotient, p.matroid, True).items()]
+    classes = activity_classes(p.quotient, p.matroid, True)
     total = sum(len(bs) for _, _, bs in classes)
     family = compatible_family(p)
-    rows = []  # the bijection table, built only to name a fault the rowless passes found
-
-    def by_rows(row_form):
-        """Run a check again in its row form, the one that names a fault."""
-        if not rows:
-            rows.extend(bijection_table(p))
-        row_form()
 
     def round_trips():
         # bit 0 marks the members of D, bit 1 each B already met
@@ -335,31 +330,25 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
             for b in bs:
                 x = b & keep | external
                 if not seen[x] & 1 or seen[b] & 2 or _inverse(p, x) != b:
-                    return by_rows(row_round_trips)
+                    return row_round_trips()
                 seen[b] |= 2
         if len(family) != total:
-            by_rows(row_round_trips)
+            row_round_trips()
 
     def row_round_trips():
-        # membership in D is read off family_set, so each image is inverted
-        # without backward's own membership pass
+        # an image missing from the family fails here; one listed in D that
+        # is not a member is refused by the checked g with its DomainError
+        rows = bijection_table(p)
         family_set = set(family)
-        for i, row in enumerate(rows):
+        for row in rows:
             if row.x not in family_set:
-                fail(i, f"f({fmt(row.b)}) = {fmt(row.x)} is not compatible")
-            if _inverse(p, row.x) != row.b:
-                fail(i + 1, f"g(f(B)) != B at B = {fmt(row.b)}")
+                raise _CheckFailure(f"f({fmt(row.b)}) = {fmt(row.x)} is not compatible")
+            if backward(p, row.x) != row.b:
+                raise _CheckFailure(f"g(f(B)) != B at B = {fmt(row.b)}")
         # f is injective on distinct rows, and onto D when the counts agree
         valid = {row.b for row in rows}
         if not len(family) == len(valid) == len(rows):
-            fail(len(rows), f"|D| = {len(family)} but {len(valid)} valid sets in {len(rows)} rows")
-
-    def fail(stop, message):
-        """Fail as the checked backward would: with its DomainError at the
-        first of rows[:stop] whose image is not in D, else with `message`."""
-        for row in rows[:stop]:
-            backward(p, row.x)
-        raise _CheckFailure(message)
+            raise _CheckFailure(f"|D| = {len(family)} but {len(valid)} valid sets in {len(rows)} rows")
 
     def intervals():
         # every B of a class spans the cube of the class's free mask Int | Ext
@@ -368,22 +357,23 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         marks = 0
         for internal, external, bs in classes:
             free = internal | external
-            cube = _submasks(free)
+            cube = list(submasks(free))
             marks += len(bs) * len(cube)
             for b in bs:
                 lower = b & ~internal
                 if (b | external) & ~lower != free:  # Int not inside B, or Ext meets B \ Int
-                    return by_rows(row_intervals)
+                    return row_intervals()
                 for t in cube:
                     covered[lower | t] = 1
         if marks != len(covered) or covered.count(0):
-            by_rows(row_intervals)
+            row_intervals()
 
     def row_intervals():
+        rows = bijection_table(p)
         covered = bytearray(1 << n)
         for row in rows:
             lower = row.b & ~row.internal
-            for t in _submasks((row.b | row.external) & ~lower):
+            for t in submasks((row.b | row.external) & ~lower):
                 s = lower | t
                 if covered[s]:
                     owner = next(r.b for r in rows if not (r.b & ~r.internal & ~s or s & ~(r.b | r.external)))
@@ -431,16 +421,6 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
         lines.append(f"{mark:4s} {name}" + (f": {detail}" if detail else ""))
     lines.append("all checks passed" if ok else "CHECKS FAILED")
     return "\n".join(lines), ok
-
-
-def _submasks(free: int) -> list:
-    """Every submask of `free`, in increasing order."""
-    cube = [0]
-    t = 0
-    while t != free:
-        t = (t - free) & free
-        cube.append(t)
-    return cube
 
 
 class _CheckFailure(Exception):
@@ -503,7 +483,7 @@ def main(argv=None) -> int:
         elif args.command == "table":
             chunks = cmd_table(doc)
         elif args.command == "compatible":
-            chunks = [cmd_compatible(doc)]
+            chunks = cmd_compatible(doc)
         else:
             report, ok = cmd_check(doc, seed=args.seed)
             chunks = [report]

@@ -31,7 +31,7 @@ M, in mask order, with an e where r_M'(C - e) < r_M'(C): the circuit that the
 circuit-union scan names.
 """
 
-from .activities import valid_sets
+from .activities import activity_classes
 from .errors import DomainError, PerspectiveError
 from .matroid import Matroid, lane_blocks, lane_max, lane_sweep
 from .setcore import GroundSet, bit
@@ -111,7 +111,7 @@ class Perspective:
     def independent_spanning_sets(self) -> list:
         """All sets independent in `matroid` and spanning in `quotient`,
         sorted by size then lexicographically."""
-        out = valid_sets(self.quotient, self.matroid)
+        out = [b for _, _, bs in activity_classes(self.quotient, self.matroid, False) for b in bs]
         out.sort(key=self.ground.size_lex_key)
         return out
 

@@ -164,10 +164,14 @@ class GroundSet:
 
     def subsets(self):
         """All submasks of the ground set, in increasing numeric order."""
-        m = self.mask
-        s = 0
-        while True:
-            yield s
-            if s == m:
-                return
-            s = (s - m) & m
+        return submasks(self.mask)
+
+
+def submasks(m: int):
+    """Every submask of the mask `m`, in increasing numeric order."""
+    s = 0
+    while True:
+        yield s
+        if s == m:
+            return
+        s = (s - m) & m

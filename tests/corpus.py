@@ -143,6 +143,11 @@ def ladder(k):
     return Multigraph(vertices=vertices, edges=tuple(edges))
 
 
+def identify_v0_v3(g):
+    """g with its vertices v0 and v3 merged into one."""
+    return identify_vertices(g, [("v0", "v3")] + [(v,) for v in g.vertices if v not in ("v0", "v3")])
+
+
 def _relabel_family(fam, perm, m):
     out = set()
     for mask in fam:
@@ -178,13 +183,14 @@ def graphic_pairs(seed, per_graph=2, min_edges=2, max_edges=5):
         for fam, graph in sorted(slot_canonical_graphs(m).items(), key=lambda kv: sorted(kv[0])):
             base = cycle_matroid(graph)
             for _ in range(per_graph):
-                classes = _random_partition(rng, graph.vertices)
+                classes = random_partition(rng, graph.vertices)
                 merged = cycle_matroid(identify_vertices(graph, classes), base.ground)
                 pairs.append(Perspective(base, merged))
     return pairs
 
 
-def _random_partition(rng, items):
+def random_partition(rng, items):
+    """A seeded partition of `items` into nonempty lists."""
     buckets = []
     for item in items:
         i = rng.randint(0, len(buckets))

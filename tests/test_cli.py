@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import random
@@ -286,14 +287,25 @@ def test_cmd_table_peak_per_row():
 
 
 def test_cmd_compatible():
-    out = cmd_compatible(parse_input(FIXTURE)).splitlines()
+    out = "\n".join(cmd_compatible(parse_input(FIXTURE))).splitlines()
     assert out == [
         "{}", "{1}", "{3}", "{5}", "{1,3}", "{1,5}", "{3,5}", "{1,2,3}",
         "{1,3,5}", "{3,4,5}", "{1,2,3,5}", "{1,3,4,5}", "{1,2,3,4,5}",
     ]
-    assert cmd_compatible(parse_input(U12_DOC)).splitlines() == ["{}", "{1,2}"]
+    assert "\n".join(cmd_compatible(parse_input(U12_DOC))).splitlines() == ["{}", "{1,2}"]
     free2 = "elements: 2\nmatroid M circuits:\n"
-    assert cmd_compatible(parse_input(free2)).splitlines() == ["{}"]
+    assert "\n".join(cmd_compatible(parse_input(free2))).splitlines() == ["{}"]
+
+
+def test_cmd_compatible_writes_in_chunks(monkeypatch):
+    # W8 over rank 0 has 18462 members of D: 19 chunks of at most 1000 lines,
+    # which joined give the golden bytes of the `compatible` process row
+    monkeypatch.setattr(cli, "TABLE_CHUNK", 1000)
+    chunks = list(cmd_compatible(parse_input((DATA / "wheel8_rank0.txt").read_text())))
+    assert len(chunks) == 19
+    assert all(chunk.count("\n") < 1000 for chunk in chunks)
+    digest = hashlib.sha256(("\n".join(chunks) + "\n").encode()).hexdigest()
+    assert f"{digest}  compatible.txt" in (DATA / "wheel8_rank0.sha256").read_text().splitlines()
 
 
 def test_cmd_check_passes_on_fixture():
@@ -331,12 +343,14 @@ def _patched_classes(monkeypatch, moves):
 
     def classes(quotient, matroid, masks):
         out = real(quotient, matroid, masks)
-        n = matroid.ground.mask.bit_length()
         for b, activity in moves.items():
-            next(bs for bs in out.values() if b in bs).remove(b)
+            next(bs for _, _, bs in out if b in bs).remove(b)
             if activity is not None:
-                internal, external = activity
-                out.setdefault(internal | external << n, []).append(b)
+                bs = next((bs for i, e, bs in out if (i, e) == activity), None)
+                if bs is None:
+                    out.append((*activity, [b]))
+                else:
+                    bs.append(b)
         return out
 
     monkeypatch.setattr(cli, "activity_classes", classes)
@@ -380,8 +394,10 @@ def _check_fails(tmp_path, capsys, text=FIXTURE):
 
 def test_check_fails_when_backward_misses_the_row(tmp_path, capsys, monkeypatch):
     # the first row, B = {2,4}, has X = {}; an inverse returning X itself
-    # gives {} back, not {2,4}
+    # gives {} back, not {2,4}.  The rowless pass calls the CLI's _inverse,
+    # the row form the one backward calls
     monkeypatch.setattr(cli, "_inverse", lambda p, x: x)
+    monkeypatch.setattr(bijection, "_inverse", lambda p, x: x)
     assert ROUND_TRIPS + "g(f(B)) != B at B = {2,4}" in _check_fails(tmp_path, capsys)
 
 
@@ -713,6 +729,7 @@ def _closed_pipe() -> int:
 
 def test_closed_stdout_keeps_a_failing_checks_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_inverse", lambda p, x: x)
+    monkeypatch.setattr(bijection, "_inverse", lambda p, x: x)
     with open(_closed_pipe(), "w") as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["check", "--input", str(DATA / "two_triangles.txt")]) == 3

@@ -24,11 +24,7 @@ from mptutte import (
     rank_zero_matroid,
     uniform_matroid,
 )
-from corpus import corpus_matroids, ladder, slot_canonical_graphs
-
-
-def identify_v0_v3(g):
-    return identify_vertices(g, [("v0", "v3")] + [(v,) for v in g.vertices if v not in ("v0", "v3")])
+from corpus import corpus_matroids, identify_v0_v3, ladder, slot_canonical_graphs
 
 
 def assert_table_from_bases(m, bases, brute=True):

@@ -17,7 +17,14 @@ from mptutte import (
 )
 from mptutte import matroid as matroid_module
 from mptutte.graphic import _zero_sums, components
-from corpus import _graph_circuit_family, fixture_matroids, ladder, slot_canonical_graphs
+from corpus import (
+    _graph_circuit_family,
+    fixture_matroids,
+    identify_v0_v3,
+    ladder,
+    random_partition,
+    slot_canonical_graphs,
+)
 from oracle import check_perspective
 
 TWO_TRIANGLES = Multigraph(
@@ -62,10 +69,6 @@ def test_identify_reproduces_fixture_quotient():
     assert circuit_sets(mp) == [[1], [2, 3], [2, 4, 5], [3, 4, 5]]
     assert mp.rank() == 2
     assert mp == fixture_matroids()[1]
-
-
-def identify_v0_v3(g):
-    return identify_vertices(g, [("v0", "v3")] + [(v,) for v in g.vertices if v not in ("v0", "v3")])
 
 
 def test_forest_circuits_match_cycle_scan_on_small_graphs():
@@ -282,17 +285,6 @@ def random_graph(rng, max_vertices=5, max_edges=7):
         (i + 1, rng.choice(vertices), rng.choice(vertices)) for i in range(ne)
     )
     return Multigraph(vertices=vertices, edges=edges)
-
-
-def random_partition(rng, items):
-    buckets = []
-    for item in items:
-        i = rng.randint(0, len(buckets))
-        if i == len(buckets):
-            buckets.append([item])
-        else:
-            buckets[i].append(item)
-    return buckets
 
 
 def component_count(g):

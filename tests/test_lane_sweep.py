@@ -18,13 +18,9 @@ from itertools import combinations
 import pytest
 
 import oracle
-from corpus import corpus_matroids, ladder, slot_canonical_graphs
-from mptutte import Matroid, Multigraph, Perspective, PerspectiveError, bit, cycle_matroid, identify_vertices
+from corpus import corpus_matroids, identify_v0_v3, ladder, slot_canonical_graphs
+from mptutte import Matroid, Multigraph, Perspective, PerspectiveError, bit, cycle_matroid
 from mptutte import matroid as matroid_module
-
-
-def identify_v0_v3(g):
-    return identify_vertices(g, [("v0", "v3")] + [(v,) for v in g.vertices if v not in ("v0", "v3")])
 
 
 def verdict(m, q, check=Perspective):

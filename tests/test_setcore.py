@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 import oracle
 from mptutte import DomainError, GroundSet, Perspective, bit, uniform_matroid
+from mptutte.setcore import submasks
 
 
 def test_complement_examples():
@@ -79,6 +81,18 @@ def test_subsets_enumeration():
     assert subs == list(range(16))
     empty = GroundSet(0)
     assert list(empty.subsets()) == [0]
+    for m in range(1 << 10):
+        assert list(submasks(m)) == [s for s in range(m + 1) if not s & ~m], m
+    # the gapped grounds reach bit 24, so their submasks are the sums of
+    # their members' bits, sorted, instead of a scan up to the mask
+    rng = random.Random(20261018)
+    grounds = [GroundSet.from_order(rng.sample([2, 5, 7, 11, 12, 17, 20, 24], k)) for k in range(1, 9)]
+    for g in grounds:
+        bits = [bit(e) for e in g.order]
+        sums = sorted(sum(c) for k in range(len(bits) + 1) for c in combinations(bits, k))
+        assert list(submasks(g.mask)) == sums, g
+    for g in [*grounds, e, empty]:
+        assert list(g.subsets()) == list(submasks(g.mask)), g
 
 
 def test_ground_set_validation():
