@@ -118,11 +118,11 @@ def activity_classes(quotient: Matroid, matroid: Matroid, masks: bool) -> list:
     return [(key & low, key >> high, bs) for key, bs in classes.items()]
 
 
-def monomial_counts(quotient: Matroid, matroid: Matroid) -> list:
-    """((|Int|, |Ext|, r(matroid) - |B|), number of valid B with it) pairs."""
-    rank = matroid.rank()
+def monomial_counts(classes, rank: int) -> list:
+    """((|Int|, |Ext|, rank - |B|), number of B with it) pairs from
+    (|Int|, |Ext|, list of B) triples."""
     return [((internal, external, rank - size), count)
-            for internal, external, bs in activity_classes(quotient, matroid, False)
+            for internal, external, bs in classes
             for size, count in Counter(map(int.bit_count, bs)).items()]
 
 

@@ -18,17 +18,12 @@ row.
 
 bijection_table lays out one row per valid B, ordered by size then
 lexicographically, with the monomial exponents
-(|Int|, |Ext|, rank defect) that drive the trivariate polynomial.  It and
-the CLI's `table` share one order, built by _table_order from activities'
-top-down pass, which files the valid sets by (Int, Ext) and hands each
-class over as a triple (Int, Ext, list of B).  Each class gets an index c,
-each of its B is packed into the plain int
-size_lex_key(B) << (n + bits of c) | c << n | B in a list for |B|, and each
-list is sorted by a bare list.sort().  size_lex_key is injective, so the
-ints sort exactly as the sets do, and a row reads B and its class back off
-its int.  A row is a BijectionRow, a collections.namedtuple (b, internal,
-external, x, monomial) of masks and that triple: immutable and hashable, and
-built as cheaply as a tuple.
+(|Int|, |Ext|, rank defect) that drive the trivariate polynomial.  It reads
+the rows straight off activities' top-down pass, which files the valid sets
+by (Int, Ext) and hands each class over as a triple (Int, Ext, list of B),
+and sorts them by size_lex_key.  A row is a BijectionRow, an immutable,
+hashable collections.namedtuple (b, internal, external, x, monomial) of
+masks and that triple.
 """
 
 from collections import namedtuple
@@ -99,40 +94,10 @@ def _inverse(p: Perspective, x: int) -> int:
 
 def bijection_table(p: Perspective) -> list:
     """Rows for every valid B, sorted by (size, lex)."""
-    classes, sizes, cmask = _table_order(p)
-    low, n, rank = p.ground.mask, p.ground.mask.bit_length(), p.matroid.rank()
-    counts = [(internal.bit_count(), external.bit_count()) for internal, external in classes]
-    pairs = set(counts)  # a table has few distinct pairs
-    new = tuple.__new__  # BijectionRow's own __new__ adds a call per row
-    rows = []
-    for size, order in enumerate(sizes):
-        terms = {pair: (*pair, rank - size) for pair in pairs}  # pair -> its triple at this size
-        for v in order:
-            b, c = v & low, v >> n & cmask
-            internal, external = classes[c]
-            rows.append(new(BijectionRow, (b, internal, external, b & ~internal | external, terms[counts[c]])))
+    rank, key = p.matroid.rank(), p.ground.size_lex_key
+    rows = [BijectionRow(b, internal, external, b & ~internal | external,
+                         (internal.bit_count(), external.bit_count(), rank - b.bit_count()))
+            for internal, external, bs in activity_classes(p.quotient, p.matroid, True)
+            for b in bs]
+    rows.sort(key=lambda row: key(row.b))
     return rows
-
-
-def _table_order(p: Perspective) -> tuple:
-    """The table's order as plain ints, shared by bijection_table and the
-    CLI's `table`: (classes, sizes, cmask).  classes lists each activity
-    class's (Int, Ext); sizes[k] holds, sorted, one int per valid B of size
-    k, size_lex_key(B) << (n + cbits) | c << n | B with c its class's index,
-    so B = v & mask and c = v >> n & cmask.  size_lex_key is injective, so
-    a bare sort of the ints is the table's order."""
-    n, key = p.ground.mask.bit_length(), p.ground.size_lex_key
-    found = activity_classes(p.quotient, p.matroid, True)
-    cbits = len(found).bit_length()
-    shift = n + cbits
-    classes, sizes = [], [[] for _ in range(n + 1)]
-    appends = [order.append for order in sizes]
-    while found:  # popped, so each class's list is freed once packed
-        internal, external, bs = found.pop()
-        c = len(classes) << n
-        classes.append((internal, external))
-        for b in bs:
-            appends[b.bit_count()](key(b) << shift | c | b)
-    for order in sizes:
-        order.sort()
-    return classes, sizes, (1 << cbits) - 1

@@ -27,8 +27,10 @@ each row in turn, so its own refusal of an image outside D names the first
 failing row.
 
 ``table`` is written by size of B, in chunks of at most TABLE_CHUNK lines,
-from the bijection module's packed order: each row costs two set prints, and
-each activity class's Int and Ext columns and each term are formatted once.
+in an order it packs itself from the activity classes: each valid B becomes
+one int whose bare sort is the table's order and which reads B and its class
+back.  Each row costs two set prints, and each activity class's Int and Ext
+columns and each term are formatted once.
 ``compatible`` is written in chunks of at most TABLE_CHUNK lines too.  For
 both, everything that can fail (parsing, the axioms, the perspective and the
 class or family pass) runs before the first line is written.
@@ -46,11 +48,11 @@ import functools
 import os
 import re
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 
-from .activities import activity_classes
-from .bijection import _inverse, _table_order, backward, bijection_table
+from .activities import activity_classes, monomial_counts
+from .bijection import _inverse, backward, bijection_table
 from .compatible import compatible_family
 from .errors import AxiomError, ConsistencyError, DomainError, ParseError, PerspectiveError
 from .graphic import Multigraph, components, cycle_matroid, identify_vertices
@@ -82,6 +84,7 @@ def parse_input(text: str) -> InputDocument:
     index = None  # element label -> its position, from the 'elements:' line
     singles = {}  # keyword of a line allowed once -> (its parsed body, its line number)
     stanzas = []
+    text = text.removeprefix("\ufeff")  # a byte-order mark an editor may have saved
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -265,9 +268,24 @@ def cmd_table(doc: InputDocument) -> Iterator[str]:
     of B in chunks of at most TABLE_CHUNK lines.  Everything that can fail
     runs before it returns; the chunks are only formatted."""
     p = document_perspective(doc)
-    classes, sizes, cmask = _table_order(p)
-    fmt = doc.ground.fmt
+    fmt, key = doc.ground.fmt, doc.ground.size_lex_key
     low, n, rank = p.ground.mask, p.ground.mask.bit_length(), p.matroid.rank()
+    # each valid B becomes the int size_lex_key(B) << (n + cbits) | c << n | B, c its
+    # class's index, in a list for |B|: size_lex_key is injective, so a bare sort of
+    # each list is the table's order, and B = v & low, c = v >> n & cmask
+    found = activity_classes(p.quotient, p.matroid, True)
+    cbits = len(found).bit_length()
+    shift, cmask = n + cbits, (1 << cbits) - 1
+    classes, sizes = [], [[] for _ in range(n + 1)]
+    appends = [order.append for order in sizes]
+    while found:  # popped, so each class's list is freed once packed
+        internal, external, bs = found.pop()
+        c = len(classes) << n
+        classes.append((internal, external))
+        for b in bs:
+            appends[b.bit_count()](key(b) << shift | c | b)
+    for order in sizes:
+        order.sort()
     pairs = {}  # (|Int|, |Ext|) -> its index; a table has few distinct pairs
     # per class: the text between B and X, Int | Ext (X = B ^ Int ^ Ext), its pair's index
     parts = [(f"\t{fmt(internal)}\t{fmt(external)}\t", internal | external,
@@ -385,9 +403,7 @@ def cmd_check(doc: InputDocument, seed: int = 0) -> tuple:
             raise _CheckFailure(f"{missing} subsets not covered by any interval")
 
     rank = p.matroid.rank()
-    base = Poly(((internal.bit_count(), external.bit_count(), rank - size), count)
-                for internal, external, bs in classes
-                for size, count in Counter(map(int.bit_count, bs)).items())
+    base = Poly(monomial_counts(((i.bit_count(), e.bit_count(), bs) for i, e, bs in classes), rank))
 
     def agreement():
         c = _compatible_sum(p, family)

@@ -27,7 +27,7 @@ import sys
 from collections import Counter
 from functools import cache
 
-from .activities import monomial_counts
+from .activities import activity_classes, monomial_counts
 from .compatible import compatible_family
 from .errors import ConsistencyError
 from .matroid import Matroid, rank_zero_matroid, subset_sizes, widen
@@ -38,7 +38,7 @@ from .polynomial import Poly, X, Y, Z
 def tutte_activities(p: Perspective) -> Poly:
     """Sum of x^|Int| y^|Ext| z^defect over valid B; B is independent in M
     and spanning in M', so its rank defect is r(M) - |B|."""
-    return Poly(monomial_counts(p.quotient, p.matroid))
+    return Poly(monomial_counts(activity_classes(p.quotient, p.matroid, False), p.matroid.rank()))
 
 
 def tutte_compatible(p: Perspective) -> Poly:

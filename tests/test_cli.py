@@ -223,10 +223,14 @@ def test_cmd_table_single_coloop_document():
 
 def reference_table(p) -> list:
     """The table by its definition, sharing no code with the class pass: each
-    valid set in size-lex order, its activities from activities.activities."""
-    rank = p.matroid.rank()
+    valid set, filtered from all 2^n subsets by rank lookups, in size-lex
+    order, its activities from activities.activities."""
+    rank, rm, rq = p.matroid.rank(), p.matroid.ranks, p.quotient.ranks
+    full = rq[p.ground.mask]
+    valid = [s for s in p.ground.subsets() if rm[s] == s.bit_count() and rq[s] == full]
+    valid.sort(key=p.ground.size_lex_key)
     rows = []
-    for b in p.independent_spanning_sets():
+    for b in valid:
         internal, external = activities.activities(p.quotient, p.matroid, b)
         rows.append((b, internal, external, b & ~internal | external,
                      (internal.bit_count(), external.bit_count(), rank - b.bit_count())))
@@ -685,6 +689,17 @@ def test_main_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(U12_DOC))
     assert main(["tutte"]) == 0
     assert capsys.readouterr().out.strip() == "x + y"
+
+
+def test_main_drops_a_byte_order_mark(tmp_path, capsys, monkeypatch):
+    # one leading U+FEFF, as an editor may save it, read as bytes or as text
+    f = tmp_path / "doc.txt"
+    f.write_bytes(b"\xef\xbb\xbf" + FIXTURE.encode("utf-8"))
+    assert _run_main(capsys, ["tutte", "--input", str(f)]) == (0, FIXTURE_POLY_STR + "\n", "")
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + FIXTURE))
+    assert _run_main(capsys, ["tutte"]) == (0, FIXTURE_POLY_STR + "\n", "")
+    with pytest.raises(ParseError, match="line 1: unrecognized line"):
+        parse_input("\ufeff\ufeff" + FIXTURE)
 
 
 def _run_main(capsys, argv):
