@@ -31,9 +31,10 @@ in an order it packs itself from the activity classes: each valid B becomes
 one int whose bare sort is the table's order and which reads B and its class
 back.  Each row costs two set prints, and each activity class's Int and Ext
 columns and each term are formatted once.
-``compatible`` is written in chunks of at most TABLE_CHUNK lines too.  For
-both, everything that can fail (parsing, the axioms, the perspective and the
-class or family pass) runs before the first line is written.
+``compatible`` is written in chunks of at most TABLE_CHUNK lines too.  Its
+family comes in lex order, so one stable sort by size gives size then lex.
+For both, everything that can fail (parsing, the axioms, the perspective and
+the class or family pass) runs before the first line is written.
 
 Exit codes are a contract: 0 success, 1 parse/input error (a command-line
 usage error included), 2 invalid perspective, 3 property-check failure or a
@@ -314,7 +315,7 @@ def cmd_compatible(doc: InputDocument) -> Iterator[str]:
     newline.  Everything that can fail runs before it returns."""
     p = document_perspective(doc)
     family = compatible_family(p)
-    family.sort(key=doc.ground.size_lex_key)  # in place: no second list of D
+    family.sort(key=int.bit_count)  # stable over lex order: size, then lex
     fmt = doc.ground.fmt
     return ("\n".join(map(fmt, family[i:i + TABLE_CHUNK])) for i in range(0, len(family), TABLE_CHUNK))
 

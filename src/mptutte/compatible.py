@@ -18,11 +18,15 @@ The two tests are the activity tests themselves, so the pass returns D for
 any pair of matroids on one ground set.  Because M' is a quotient of M, an
 element spanned by Y in M is spanned by Y + below(e) in M', so some step is
 always open and no prefix dies: O(n) lookups per member instead of an
-activity pass per subset.  This pass is independent of the valid-set pass
-and the bijection, so the compatible route still cross-checks the activities
-route.  The definition-literal circuit scans live in the tests' oracle
-module, which checks this family and is_compatible against them on the whole
-corpus and on pairs that are not perspectives.
+activity pass per subset.  Each level lists the prefixes that take e before
+those that leave it out, each part in the previous level's order: a stable
+split on e's digit of the lex key (0 when e is in X, the `<`-least element
+most significant), least significant digit first, so the levels make an LSD
+radix sort and D comes out in lex order.  This pass is independent of the
+valid-set pass and the bijection, so the compatible route still cross-checks
+the activities route.  The definition-literal circuit scans live in the
+tests' oracle module, which checks this family, its order and is_compatible
+against them on the whole corpus and on pairs that are not perspectives.
 """
 
 from .activities import activities, externally_active
@@ -42,20 +46,22 @@ def in_family(p: Perspective, x: int) -> bool:
 
 def compatible_family(p: Perspective) -> list:
     """All X with X compatible for quotient* and E \\ X compatible for the
-    matroid, in an unspecified order: the prefixes Y, plain masks, that
-    survive both tests at every element from the top of the order down."""
+    matroid, in lex order (by the low n bits of GroundSet.size_lex_key): the
+    prefixes Y, plain masks, that survive both tests at every element from
+    the top of the order down, takers of each element before its leavers."""
     rm, rq = p.matroid.ranks, p.quotient.ranks
     below = p.ground.mask
     prefixes = [0]
     for e in reversed(p.ground.order):
         b = 1 << (e - 1)
         below ^= b
-        grown = []
+        taken, left = [], []
         for y in prefixes:
             if rm[y | b] > rm[y]:
-                grown.append(y)
+                left.append(y)
             t = y | below
             if rq[t] == rq[t | b]:
-                grown.append(y | b)
-        prefixes = grown
+                taken.append(y | b)
+        prefixes = taken  # drops the previous level before the concatenation
+        prefixes += left
     return prefixes

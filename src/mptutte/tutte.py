@@ -47,11 +47,17 @@ def tutte_compatible(p: Perspective) -> Poly:
 
 
 def _compatible_sum(p: Perspective, family) -> Poly:
-    """tutte_compatible's sum over `family`, for a caller that already holds D."""
+    """tutte_compatible's sum over `family`, for a caller that already holds D.
+    Each member counts as one int, r_{M'}(X) << 10 | r_M(X) << 5 | |X| (each
+    field at most 24), and each distinct key is decoded once."""
     rm, rq = p.matroid.ranks, p.quotient.ranks
     full_m, full_q = p.matroid.rank(), p.quotient.rank()
-    return Poly(Counter((full_q - rq[x], x.bit_count() - rm[x], full_m - full_q - rm[x] + rq[x])
-                        for x in family))
+    counts = Counter(rq[x] << 10 | rm[x] << 5 | x.bit_count() for x in family)
+    terms = []
+    for key, count in counts.items():
+        q, m, size = key >> 10, key >> 5 & 31, key & 31
+        terms.append(((full_q - q, size - m, full_m - full_q - m + q), count))
+    return Poly(terms)
 
 
 def tutte_rank_generating(p: Perspective) -> Poly:

@@ -9,12 +9,13 @@ over the subsets that the whole-table tutte_rank_generating replaced, and
 m0_expansion is the per-subset (x-1)-power loop that tutte_m0_expansion
 replaced, on this module's circuit-scan is_compatible; fmt and
 size_lex_key are the per-element loops that GroundSet's byte tables
-replaced.  A matroid's bases and circuits are read off its rank table,
-so the scans that built the table and the families before it are kept
-here too (greedy_ranks, circuits_from_bases, graph_bases, and the minor
-and dual tables built from independence flags): test_construction checks
-the tables, the bases and the circuits against them, and the oracle's
-other scans then share no code with the lookups they check.  backward is
+replaced, and lex_sorted is the order compatible_family returns.  A
+matroid's bases and circuits are read off its rank table, so the scans
+that built the table and the families before it are kept here too
+(greedy_ranks, circuits_from_bases, graph_bases, and the minor and dual
+tables built from independence flags): test_construction checks the
+tables, the bases and the circuits against them, and the oracle's other
+scans then share no code with the lookups they check.  backward is
 the bijection's inverse built from those flag tables, with each minimal
 basis found by brute force instead of bijection's greedy rank lookups.
 """
@@ -370,3 +371,10 @@ def size_lex_key(ground, x: int) -> int:
     for e in ground.order:
         key = (key << 1) | (not x >> (e - 1) & 1)
     return key
+
+
+def lex_sorted(ground, family) -> list:
+    """`family` sorted by the low ground.size bits of size_lex_key alone:
+    where two sets first differ in `<`, the one holding that element first."""
+    low = (1 << ground.size) - 1
+    return sorted(family, key=lambda x: size_lex_key(ground, x) & low)

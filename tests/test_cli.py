@@ -20,6 +20,7 @@ from mptutte import (
     activities,
     bijection,
     cli,
+    compatible_family,
     perspective,
 )
 from mptutte.cli import (
@@ -310,6 +311,16 @@ def test_cmd_compatible_writes_in_chunks(monkeypatch):
     assert all(chunk.count("\n") < 1000 for chunk in chunks)
     digest = hashlib.sha256(("\n".join(chunks) + "\n").encode()).hexdigest()
     assert f"{digest}  compatible.txt" in (DATA / "wheel8_rank0.sha256").read_text().splitlines()
+
+
+def test_cmd_compatible_prints_d_in_size_lex_order(corpus):
+    # every corpus perspective, under its ground order, and every data
+    # document that builds one, named grounds included: the lines are D
+    # sorted by GroundSet.size_lex_key
+    for text in table_documents(corpus):
+        doc = parse_input(text)
+        family = sorted(compatible_family(document_perspective(doc)), key=doc.ground.size_lex_key)
+        assert "\n".join(cmd_compatible(doc)) == "\n".join(map(doc.ground.fmt, family)), text
 
 
 def test_cmd_check_passes_on_fixture():

@@ -1,3 +1,5 @@
+import random
+
 import oracle
 from mptutte import (
     GroundSet,
@@ -82,3 +84,20 @@ def test_duality_swap(corpus):
         fam = set(compatible_family(p))
         dual_fam = set(compatible_family(p.dual()))
         assert fam == {full ^ x for x in dual_fam}, name
+
+
+def test_family_comes_in_lex_order(corpus):
+    # each corpus perspective as built, under a seeded order, and restricted
+    # to a seeded subset (a gapped ground) under a seeded order: D is the
+    # circuit-literal family in lex order
+    rng = random.Random(31)
+    gapped = 0
+    for name, p in corpus:
+        x = rng.randrange(p.ground.mask + 1) & p.ground.mask
+        minor = Perspective(p.matroid.restrict(x), p.quotient.restrict(x))
+        gapped += minor.ground.mask != (1 << minor.ground.size) - 1
+        for q in (p, p.reordered(rng.sample(p.ground.order, p.ground.size)),
+                  minor.reordered(rng.sample(minor.ground.order, minor.ground.size))):
+            expected = oracle.lex_sorted(q.ground, oracle.compatible_family(q.matroid, q.quotient))
+            assert compatible_family(q) == expected, (name, q.ground.order)
+    assert gapped > 100

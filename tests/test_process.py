@@ -80,6 +80,8 @@ def row(id, argv, code, out, err=EMPTY, **kw):
 TRIANGLES = ("two_triangles_graph", "two_triangles", "two_triangles_bases")
 ROWS = [
     *(row(f"table-{d}", ["table", *doc(d)], 0, golden("two_triangles_table.tsv")) for d in TRIANGLES),
+    *(row(f"compatible-{d}", ["compatible", *doc(d)], 0, golden("two_triangles_compatible.txt"))
+      for d in TRIANGLES),
     *(row(f"rank-gen-{d}", ["tutte", "--method", "rank-gen", *doc(d)], 0,
           same_as("tutte", "--method", "activities", *doc(d))) for d in TRIANGLES),
     *(row(f"error-{d}", ["tutte", *doc(d)], code, EMPTY, golden(f"{d}_stderr.txt")) for d, code in

@@ -235,3 +235,38 @@ def test_rank_generating_matches_the_subset_loop_on_unvalidated_pairs(small_matr
                 high += not isinstance(expected, str) and any(map(int.__gt__, q.ranks, m.ranks))
                 assert outcome(tutte_rank_generating, p) == expected, (m, q)
     assert errors > 0 and high > 0
+
+
+def truncation(m, k):
+    """T^k M, a quotient of M: the independent sets of size r(M) - k as bases."""
+    size = m.rank() - k
+    return Matroid(m.ground, [x for x in m.ground.subsets() if x.bit_count() == size == m.ranks[x]],
+                   validate=False)
+
+
+def test_las_vergnas_specializations(corpus):
+    # with d = r(M) - r(M'), each route's T(M, M'; x, y, z) gives back both
+    # matroids' polynomials, taken from the oracle's subset loop on (M, M) and
+    # (M', M'): T(x, y, x - 1) = T_M(x, y), and sum over k of
+    # (y - 1)^(d - k) [z^k] T = T_M'(x, y).  The corpus's pairs with d > 0 are
+    # rank-0 quotients, graphic pairs and the fixture, so truncations are added
+    bivariate = {}
+
+    def tutte(m):
+        key = m.ground.order, m.bases
+        if key not in bivariate:
+            bivariate[key] = oracle.rank_generating(Perspective(m, m))
+        return bivariate[key]
+
+    truncations = [(f"T^{k} {name}", Perspective(m, truncation(m, k)))
+                   for name, m in corpus_matroids(corpus) for k in (1, 2, 3) if k <= m.rank()]
+    assert len(truncations) > 1000
+    ym1 = (Y - 1).powers(MAX_ELEMENTS)
+    for name, p in corpus + truncations:
+        d = p.matroid.rank() - p.quotient.rank()
+        t_m, t_q = tutte(p.matroid), tutte(p.quotient)
+        for route in (tutte_activities, tutte_compatible, tutte_rank_generating):
+            t = route(p)
+            assert t.substitute(z=X - 1) == t_m, (name, route.__name__)
+            by_z = sum((Poly.monomial(a, b, 0, v) * ym1[d - c] for (a, b, c), v in t.terms().items()), Poly())
+            assert by_z == t_q, (name, route.__name__)
